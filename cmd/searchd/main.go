@@ -154,6 +154,12 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// newSearcher builds the read path of a static or blob-served node.
+	newSearcher := func(idx *partition.Index) *partition.Searcher {
+		sr := partition.NewSearcher(idx, search.Options{TopK: *topK}, *parallel)
+		sr.SetSharedPruning(*sharedTh)
+		return sr
+	}
 	var node *cluster.Node
 	var serving string
 	var store *durable.Store
@@ -284,11 +290,7 @@ func main() {
 				// An empty manifest still needs a servable searcher.
 				segs = []*index.Segment{index.NewBuilder().Finalize()}
 			}
-			idx := partition.FromSegments(segs)
-			sr := partition.NewSearcher(idx, search.Options{TopK: *topK}, *parallel)
-			if !*sharedTh {
-				sr.SetSharedPruning(false)
-			}
+			sr := newSearcher(partition.FromSegments(segs))
 			for p, data := range snap.Tombs {
 				if len(data) == 0 {
 					continue
@@ -351,10 +353,7 @@ func main() {
 			i++
 		})
 		idx := b.Finalize()
-		node = cluster.NewNode(*name, idx, search.Options{TopK: *topK}, *parallel)
-		if !*sharedTh {
-			node.Searcher().SetSharedPruning(false)
-		}
+		node = cluster.NewNodeFromSearcher(*name, newSearcher(idx), *topK)
 		serving = fmt.Sprintf("%d docs in %d partitions", idx.NumDocs(), idx.NumPartitions())
 	}
 	node.SetDrainTimeout(*drain)

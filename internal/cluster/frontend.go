@@ -763,7 +763,7 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}
-	if _, err := req.ParseMode(); err != nil {
+	if _, err := req.Validate(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,22 +17,28 @@ import (
 )
 
 // Node is one index-serving server: it owns a slice of the document
-// collection — either an immutable partitioned index or a mutable live
-// index — and answers /search requests. Every node exposes its
-// search-latency histogram on GET /metrics; live nodes additionally
-// accept POST /docs and POST /delete mutations.
-//
-// The partitioned searcher is held behind an atomic pointer so a
-// blob-manifest poller can swap in a newly opened generation while
-// queries are in flight: each request loads the pointer once and runs
-// entirely against that snapshot.
+// collection and answers /search requests from the current immutable
+// view set over it — a partition.Searcher, whether the set is a static
+// partitioned index, a blob-store generation or a live index's snapshot.
+// Every node exposes its search-latency histogram on GET /metrics; nodes
+// over a live index additionally accept POST /docs and POST /delete
+// mutations.
 type Node struct {
-	name     string
+	name string
+	// acquire returns the view set one request runs against; the request
+	// Releases it when done.
+	acquire func() *partition.Searcher
+	// searcher is what acquire loads on nodes without a live index. It is
+	// atomic so a blob-manifest poller can swap in a newly opened
+	// generation while queries are in flight: each request loads the
+	// pointer once and runs entirely against that view set.
 	searcher atomic.Pointer[partition.Searcher]
-	live     *live.Index
-	topK     int
-	mux      *http.ServeMux
-	hist     metrics.ConcurrentHistogram
+	// live is the writer behind the mutation routes, nil on read-only
+	// nodes.
+	live *live.Index
+	topK int
+	mux  *http.ServeMux
+	hist metrics.ConcurrentHistogram
 
 	// blobMetrics, when set, contributes block-cache and manifest
 	// gauges to GET /metrics (stateless blob-serving nodes).
@@ -44,56 +49,9 @@ type Node struct {
 	ln    net.Listener
 }
 
-// NewNode creates a serving node over idx. Queries are evaluated with
-// opts across the node's intra-server partitions (in parallel when
-// parallel is set).
-func NewNode(name string, idx *partition.Index, opts search.Options, parallel bool) *Node {
-	if opts.TopK <= 0 {
-		opts.TopK = 10
-	}
-	n := &Node{
-		name:  name,
-		topK:  opts.TopK,
-		mux:   http.NewServeMux(),
-		drain: defaultDrainTimeout,
-	}
-	n.searcher.Store(partition.NewSearcher(idx, opts, parallel))
-	n.registerCommon()
-	return n
-}
-
-// NewNodeFromSearcher creates a serving node over an already-built
-// partitioned searcher — the stateless blob-serving path, where the
-// caller constructs searchers from manifest snapshots and swaps them in
-// with SetSearcher as generations advance.
-func NewNodeFromSearcher(name string, s *partition.Searcher, topK int) *Node {
-	if topK <= 0 {
-		topK = 10
-	}
-	n := &Node{
-		name:  name,
-		topK:  topK,
-		mux:   http.NewServeMux(),
-		drain: defaultDrainTimeout,
-	}
-	n.searcher.Store(s)
-	n.registerCommon()
-	return n
-}
-
-// SetSearcher atomically replaces the node's partitioned searcher.
-// In-flight requests finish against the searcher they started with.
-func (n *Node) SetSearcher(s *partition.Searcher) { n.searcher.Store(s) }
-
-// SetBlobMetrics installs the hook contributing blob-serving gauges
-// (block cache, manifest generation) to GET /metrics.
-func (n *Node) SetBlobMetrics(f func() *BlobMetrics) { n.blobMetrics = f }
-
-// NewLiveNode creates a serving node over a live (mutable) index:
-// /search answers from the current snapshot, POST /docs and POST /delete
-// mutate, and /metrics reports the live index's shape alongside the
-// latency histogram.
-func NewLiveNode(name string, li *live.Index, topK int) *Node {
+// newNode builds a node serving li's snapshots when li is non-nil and
+// the swappable searcher s otherwise. topK is the default result count.
+func newNode(name string, s *partition.Searcher, li *live.Index, topK int) *Node {
 	if topK <= 0 {
 		topK = 10
 	}
@@ -104,17 +62,50 @@ func NewLiveNode(name string, li *live.Index, topK int) *Node {
 		mux:   http.NewServeMux(),
 		drain: defaultDrainTimeout,
 	}
-	n.registerCommon()
-	n.mux.HandleFunc("POST /docs", n.handleAddDoc)
-	n.mux.HandleFunc("POST /delete", n.handleDeleteDoc)
-	return n
-}
-
-func (n *Node) registerCommon() {
+	n.searcher.Store(s)
+	n.acquire = n.searcher.Load
+	if li != nil {
+		n.acquire = func() *partition.Searcher { return li.Acquire().Searcher() }
+		n.mux.HandleFunc("POST /docs", n.handleAddDoc)
+		n.mux.HandleFunc("POST /delete", n.handleDeleteDoc)
+	}
 	n.mux.HandleFunc("POST /search", n.handleSearch)
 	n.mux.HandleFunc("GET /stats", n.handleStats)
 	n.mux.HandleFunc("GET /metrics", n.handleMetrics)
+	return n
 }
+
+// NewNode creates a serving node over idx. Queries are evaluated with
+// opts across the node's intra-server partitions (in parallel when
+// parallel is set).
+func NewNode(name string, idx *partition.Index, opts search.Options, parallel bool) *Node {
+	return newNode(name, partition.NewSearcher(idx, opts, parallel), nil, opts.TopK)
+}
+
+// NewNodeFromSearcher creates a serving node over an already-built
+// searcher — one the caller has tuned, or the stateless blob-serving
+// path, where the caller constructs searchers from manifest snapshots
+// and swaps them in with SetSearcher as generations advance.
+func NewNodeFromSearcher(name string, s *partition.Searcher, topK int) *Node {
+	return newNode(name, s, nil, topK)
+}
+
+// NewLiveNode creates a serving node over a live (mutable) index:
+// /search answers from the current snapshot, POST /docs and POST /delete
+// mutate, and /metrics reports the live index's shape alongside the
+// latency histogram.
+func NewLiveNode(name string, li *live.Index, topK int) *Node {
+	return newNode(name, nil, li, topK)
+}
+
+// SetSearcher atomically replaces the searcher of a node built by
+// NewNode or NewNodeFromSearcher. In-flight requests finish against the
+// searcher they started with.
+func (n *Node) SetSearcher(s *partition.Searcher) { n.searcher.Store(s) }
+
+// SetBlobMetrics installs the hook contributing blob-serving gauges
+// (block cache, manifest generation) to GET /metrics.
+func (n *Node) SetBlobMetrics(f func() *BlobMetrics) { n.blobMetrics = f }
 
 // Handler returns the node's HTTP handler, for in-process serving or
 // tests.
@@ -134,10 +125,14 @@ func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return
 	}
-	mode, err := req.ParseMode()
+	mode, err := req.Validate()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
+	}
+	k := req.TopK
+	if k == 0 {
+		k = n.topK
 	}
 	ctx := r.Context()
 	if ctx.Err() != nil {
@@ -146,52 +141,21 @@ func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
 	done := make(chan SearchResponse, 1)
 	go func() {
 		start := time.Now()
-		var resp SearchResponse
-		if n.live != nil {
-			k := req.TopK
-			if k <= 0 {
-				k = n.topK
-			}
-			hp := liveHitsPool.Get().(*[]live.Hit)
-			hits := n.live.SearchInto(req.Query, mode, k, (*hp)[:0])
-			took := time.Since(start)
-			n.hist.Record(took)
-			resp = SearchResponse{
-				Hits:       make([]WireHit, 0, len(hits)),
-				Matches:    len(hits),
-				TookMicros: took.Microseconds(),
-				Node:       n.name,
-			}
-			for _, h := range hits {
-				resp.Hits = append(resp.Hits, WireHit{URL: h.Key, Title: h.Doc.Title, Score: h.Score})
-			}
-			// Hits pin snapshot keys and stored docs; clear before pooling.
-			for i := range hits {
-				hits[i] = live.Hit{}
-			}
-			*hp = hits[:0]
-			liveHitsPool.Put(hp)
-			done <- resp
-			return
-		}
-		sr := n.searcher.Load()
-		res := sr.ParseAndSearch(req.Query, mode)
+		sr := n.acquire()
+		defer sr.Release()
+		sc := partition.GetScratch()
+		defer partition.PutScratch(sc)
+		sr.SearchInto(search.ParseQuery(sr.Analyzer(), req.Query, mode), k, sc)
 		took := time.Since(start)
 		n.hist.Record(took)
-
-		k := req.TopK
-		if k <= 0 || k > len(res.Hits) {
-			k = len(res.Hits)
-		}
-		resp = SearchResponse{
-			Hits:       make([]WireHit, 0, k),
-			Matches:    res.Matches,
+		resp := SearchResponse{
+			Hits:       make([]WireHit, 0, len(sc.Hits)),
+			Matches:    sc.Matches,
 			TookMicros: took.Microseconds(),
 			Node:       n.name,
 		}
-		idx := sr.Index()
-		for _, h := range res.Hits[:k] {
-			doc := idx.Doc(h.Doc)
+		for _, h := range sc.Hits {
+			doc := sr.Doc(h.Doc)
 			resp.Hits = append(resp.Hits, WireHit{URL: doc.URL, Title: doc.Title, Score: h.Score})
 		}
 		done <- resp
@@ -206,16 +170,8 @@ func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// Live returns the node's live index (nil for static nodes).
+// Live returns the node's live index (nil for read-only nodes).
 func (n *Node) Live() *live.Index { return n.live }
-
-// Searcher returns the node's current partitioned searcher (nil for
-// live nodes), so servers can tune executor and pruning behavior after
-// construction.
-func (n *Node) Searcher() *partition.Searcher { return n.searcher.Load() }
-
-// liveHitsPool recycles the per-request live hit buffer of handleSearch.
-var liveHitsPool = sync.Pool{New: func() any { return new([]live.Hit) }}
 
 // handleAddDoc ingests one document into a live node.
 func (n *Node) handleAddDoc(w http.ResponseWriter, r *http.Request) {
@@ -232,7 +188,7 @@ func (n *Node) handleAddDoc(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("ingest failed: %v", err), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, MutateResponse{Generation: n.live.Stats().Generation, Found: true})
+	writeJSON(w, MutateResponse{Generation: n.live.Generation(), Found: true})
 }
 
 // handleDeleteDoc removes one document from a live node.
@@ -247,7 +203,7 @@ func (n *Node) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("delete failed: %v", err), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, MutateResponse{Generation: n.live.Stats().Generation, Found: found})
+	writeJSON(w, MutateResponse{Generation: n.live.Generation(), Found: found})
 }
 
 // handleMetrics reports the node's latency histogram and, on live nodes,
@@ -267,34 +223,15 @@ func (n *Node) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleStats reports the node's index shape.
+// handleStats reports the shape of the node's current view set.
 func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
-	if n.live != nil {
-		st := n.live.Stats()
-		writeJSON(w, StatsResponse{
-			Node:       n.name,
-			Docs:       int(st.LiveDocs),
-			Partitions: st.Segments,
-		})
-		return
-	}
-	idx := n.searcher.Load().Index()
-	var avg float64
-	if parts := idx.NumPartitions(); parts > 0 {
-		var totalLen, totalDocs int64
-		for p := 0; p < parts; p++ {
-			totalLen += idx.Segment(p).TotalLen()
-			totalDocs += int64(idx.Segment(p).NumDocs())
-		}
-		if totalDocs > 0 {
-			avg = float64(totalLen) / float64(totalDocs)
-		}
-	}
+	sr := n.acquire()
+	defer sr.Release()
 	writeJSON(w, StatsResponse{
 		Node:       n.name,
-		Docs:       idx.NumDocs(),
-		Partitions: idx.NumPartitions(),
-		AvgDocLen:  avg,
+		Docs:       sr.NumDocs(),
+		Partitions: sr.NumViews(),
+		AvgDocLen:  sr.AvgDocLen(),
 	})
 }
 

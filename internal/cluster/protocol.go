@@ -37,6 +37,21 @@ func (r SearchRequest) ParseMode() (search.Mode, error) {
 	}
 }
 
+// MaxTopK is the largest result count a request may ask for. TopK is
+// outside input: without a ceiling one request could make a node
+// serialize every matching document.
+const MaxTopK = 1000
+
+// Validate checks a request that arrived over the wire and returns its
+// parsed mode. TopK 0 selects the server's default and 1..MaxTopK are
+// honored as given; anything else is an error.
+func (r SearchRequest) Validate() (search.Mode, error) {
+	if r.TopK < 0 || r.TopK > MaxTopK {
+		return 0, fmt.Errorf("cluster: topK %d outside [0, %d]", r.TopK, MaxTopK)
+	}
+	return r.ParseMode()
+}
+
 // WireHit is one result on the wire. Documents are identified by URL so
 // the front-end can merge without sharing doc-store state with nodes.
 type WireHit struct {

@@ -534,14 +534,6 @@ func TestE24SharedExec(t *testing.T) {
 				r.SharedPostings, r.IndepPostings)
 		}
 	}
-	if len(res.Load) != 2 || res.Load[0].Name != "goroutine_per_part" || res.Load[1].Name != "executor" {
-		t.Fatalf("load rows = %+v", res.Load)
-	}
-	for _, r := range res.Load {
-		if r.P50 <= 0 || r.P99 < r.P50/2 || r.QPS <= 0 {
-			t.Errorf("implausible load row %+v", r)
-		}
-	}
 	if len(res.Live) != 2 {
 		t.Fatalf("want 2 live rows, got %d", len(res.Live))
 	}

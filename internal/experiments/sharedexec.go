@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"websearchbench/internal/metrics"
 	"websearchbench/internal/partition"
 	"websearchbench/internal/search"
-	"websearchbench/internal/search/exec"
 	"websearchbench/internal/textproc"
 )
 
@@ -27,16 +25,6 @@ type E24PruneRow struct {
 	SharedNsPerQuery float64
 }
 
-// E24LoadRow is one executor configuration under closed-loop concurrent
-// load: the legacy goroutine-per-partition fork versus the bounded
-// search executor.
-type E24LoadRow struct {
-	Name string
-	P50  time.Duration
-	P99  time.Duration
-	QPS  float64
-}
-
 // E24LiveRow is one live-path configuration: sequential versus
 // executor-parallel snapshot search while ingest churns segments.
 type E24LiveRow struct {
@@ -49,24 +37,18 @@ type E24LiveRow struct {
 
 // E24Result is the shared-threshold parallel execution experiment.
 type E24Result struct {
-	Prune   []E24PruneRow
-	Clients int
-	Load    []E24LoadRow
-	Live    []E24LiveRow
+	Prune []E24PruneRow
+	Live  []E24LiveRow
 }
 
 // E24SharedExec measures the two pillars of the query execution engine.
 // Part one: cross-partition threshold sharing on sequential evaluations —
 // postings scanned must only ever drop (the shared floor is a lower
 // bound on the global kth score, so it subsumes every local floor) while
-// the merged top-k stays identical. Part two: tail latency under
-// closed-loop concurrent load, goroutine-per-partition versus the
-// bounded executor — with more in-flight queries than cores, the
-// unbounded fork runs queries*partitions runnable goroutines and pays
-// for the oversubscription at the tail, while the executor degrades to
-// inline (sequential) evaluation per query. Part three: the live path,
-// sequential versus executor-parallel segment search during ingest
-// churn.
+// the merged top-k stays identical. Part two: the live path, sequential
+// versus executor-parallel segment search during ingest churn. The
+// executor's own dispatch cost is the repository benchmark's
+// partition.fanout_us and exec.helper_share.
 func (c *Context) E24SharedExec() E24Result {
 	qs := c.Analyzed()
 	res := E24Result{}
@@ -103,16 +85,7 @@ func (c *Context) E24SharedExec() E24Result {
 		c.record("E24", name, "shared_ns_per_query", row.SharedNsPerQuery)
 	}
 
-	// Part 2: closed-loop load, executor vs goroutine-per-partition.
-	res.Clients = 2 * runtime.GOMAXPROCS(0)
-	res.Load = c.measureExecutorLoad(qs, res.Clients)
-	for _, r := range res.Load {
-		c.record("E24", r.Name, "p50_ns", float64(r.P50))
-		c.record("E24", r.Name, "p99_ns", float64(r.P99))
-		c.record("E24", r.Name, "qps", r.QPS)
-	}
-
-	// Part 3: live path, sequential vs executor-parallel segment search.
+	// Part 2: live path, sequential vs executor-parallel segment search.
 	res.Live = c.measureLiveExec(qs)
 	for _, r := range res.Live {
 		c.record("E24", r.Name, "p50_ns", float64(r.P50))
@@ -121,7 +94,7 @@ func (c *Context) E24SharedExec() E24Result {
 		c.record("E24", r.Name, "segments", float64(r.Segments))
 	}
 
-	c.section("E24", "shared-threshold parallel execution: pruning, executor load, live path")
+	c.section("E24", "shared-threshold parallel execution: pruning, live path")
 	w := c.table()
 	fmt.Fprintf(w, "parts\tpostings(indep)\tpostings(shared)\tsaved\tns/q(indep)\tns/q(shared)\n")
 	for _, r := range res.Prune {
@@ -134,13 +107,6 @@ func (c *Context) E24SharedExec() E24Result {
 			r.IndepNsPerQuery, r.SharedNsPerQuery)
 	}
 	w.Flush()
-	fmt.Fprintf(c.Out, "%d closed-loop clients, 8 partitions:\n", res.Clients)
-	w = c.table()
-	fmt.Fprintf(w, "dispatch\tp50\tp99\tqps\n")
-	for _, r := range res.Load {
-		fmt.Fprintf(w, "%s\t%s\t%s\t%.0f\n", r.Name, ms(r.P50), ms(r.P99), r.QPS)
-	}
-	w.Flush()
 	fmt.Fprintf(c.Out, "live path under ingest churn:\n")
 	w = c.table()
 	fmt.Fprintf(w, "config\tp50\tp99\tqps\tsegs\n")
@@ -149,62 +115,6 @@ func (c *Context) E24SharedExec() E24Result {
 	}
 	w.Flush()
 	return res
-}
-
-// measureExecutorLoad runs a closed-loop client pool against one
-// 8-partition searcher, once with the legacy goroutine-per-partition
-// fork and once on the bounded executor, and reports the latency
-// distributions. More clients than cores makes the difference visible:
-// the fork schedules clients*partitions runnable goroutines, the
-// executor never exceeds workers + clients.
-func (c *Context) measureExecutorLoad(qs []search.Query, clients int) []E24LoadRow {
-	const parts = 8
-	idx, err := partition.Build(c.CorpusCfg, parts, partition.RoundRobin)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: partition build failed: %v", err))
-	}
-	ps := partition.NewSearcher(idx, search.DefaultOptions(), true)
-	window := time.Duration(clamp(2*c.Scale, 0.15, 2) * float64(time.Second))
-
-	measure := func() (p50, p99 time.Duration, qps float64) {
-		hists := make([]metrics.Histogram, clients)
-		counts := make([]int64, clients)
-		var pool sync.WaitGroup
-		start := time.Now()
-		deadline := start.Add(window)
-		for g := 0; g < clients; g++ {
-			pool.Add(1)
-			go func(g int) {
-				defer pool.Done()
-				for i := g; time.Now().Before(deadline); i++ {
-					q := qs[i%len(qs)]
-					t0 := time.Now()
-					ps.Search(q)
-					hists[g].Record(time.Since(t0))
-					counts[g]++
-				}
-			}(g)
-		}
-		pool.Wait()
-		elapsed := time.Since(start)
-		var lat metrics.Histogram
-		var queries int64
-		for g := range hists {
-			lat.Merge(&hists[g])
-			queries += counts[g]
-		}
-		snap := lat.Snapshot()
-		return snap.P50, snap.P99, float64(queries) / elapsed.Seconds()
-	}
-
-	var rows []E24LoadRow
-	ps.SetExecutor(nil) // legacy: one goroutine per partition per query
-	p50, p99, qps := measure()
-	rows = append(rows, E24LoadRow{Name: "goroutine_per_part", P50: p50, P99: p99, QPS: qps})
-	ps.SetExecutor(exec.Default())
-	p50, p99, qps = measure()
-	rows = append(rows, E24LoadRow{Name: "executor", P50: p50, P99: p99, QPS: qps})
-	return rows
 }
 
 // measureLiveExec seeds a multi-segment live index, then measures query

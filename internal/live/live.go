@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"websearchbench/internal/index"
+	"websearchbench/internal/partition"
 	"websearchbench/internal/search"
 	"websearchbench/internal/search/exec"
 	"websearchbench/internal/textproc"
@@ -247,6 +248,10 @@ func (li *Index) Close() {
 	close(li.closeCh)
 	li.wg.Wait()
 }
+
+// Generation returns the generation of the currently published
+// snapshot, without taking the index lock.
+func (li *Index) Generation() uint64 { return li.cur.Load().gen }
 
 // Acquire returns the current published snapshot with a reference taken.
 // The caller must Release it.
@@ -598,57 +603,71 @@ func (li *Index) wakeMerger() {
 // the snapshot is shared immutable or append-only state.
 func (li *Index) publishLocked() {
 	li.gen++
+	nViews := len(li.segs) + len(li.flushing) + 1
+	views := make([]partition.View, 0, nViews)
+	maps := make([]partition.DocMap, 0, nViews)
 	segViews := make([]*segView, 0, len(li.segs))
 	var base int32
-	var liveDocs int64
+	var liveDocs int
+	var totalLen int64
 	for _, ls := range li.segs {
 		if ls.published == nil || ls.dirty {
 			ls.published = ls.tomb.Clone()
 			ls.dirty = false
 		}
 		sv := &segView{seg: ls.seg, keys: ls.keys, dead: ls.published, base: base}
-		// One searcher per view, reused by every query against this
-		// snapshot; the tombstone filter binds the view's immutable
-		// published clone. Queries override TopK per call.
+		// The tombstone filter binds the view's immutable published
+		// clone. Queries override TopK per call.
 		opts := search.Options{TopK: 10, UseMaxScore: true, Analyzer: li.cfg.Analyzer}
 		if ls.published.Count() > 0 {
 			opts.Deleted = ls.published.Has
 		}
 		sv.searcher = search.NewSearcher(ls.seg, opts)
 		segViews = append(segViews, sv)
+		views = append(views, sv.searcher)
+		maps = append(maps, partition.DocMap{Base: base, Stride: 1})
 		base += int32(ls.seg.NumDocs())
-		liveDocs += int64(ls.seg.NumDocs() - ls.published.Count())
+		liveDocs += ls.seg.NumDocs() - ls.published.Count()
+		totalLen += ls.seg.TotalLen()
 	}
 	memBase := base
 	mems := make([]*memView, 0, len(li.flushing)+1)
+	addMem := func(mem *memtable, dead *Tombstones) {
+		mv := memViewOf(mem, dead, base)
+		mems = append(mems, mv)
+		views = append(views, mv)
+		maps = append(maps, partition.DocMap{Base: base, Stride: 1})
+		base += mv.upTo
+		liveDocs += int(mv.upTo) - dead.Count()
+		totalLen += mv.totalLen
+	}
 	for _, pf := range li.flushing {
 		if pf.published == nil || pf.dirty {
 			pf.published = pf.tomb.Clone()
 			pf.dirty = false
 		}
-		mv := memViewOf(pf.mem, pf.published, base)
-		mems = append(mems, mv)
-		base += mv.upTo
-		liveDocs += int64(int(mv.upTo) - pf.published.Count())
+		addMem(pf.mem, pf.published)
 	}
 	if li.memPublished == nil || li.memDirty {
 		li.memPublished = li.memDead.Clone()
 		li.memDirty = false
 	}
-	mv := memViewOf(li.mem, li.memPublished, base)
-	mems = append(mems, mv)
-	liveDocs += int64(int(mv.upTo) - li.memPublished.Count())
+	addMem(li.mem, li.memPublished)
 	snap := &Snapshot{
-		gen:      li.gen,
-		segs:     segViews,
-		mems:     mems,
-		memBase:  memBase,
-		live:     liveDocs,
-		analyzer: li.cfg.Analyzer,
+		gen:     li.gen,
+		segs:    segViews,
+		mems:    mems,
+		memBase: memBase,
+		live:    liveDocs,
 	}
+	if base > 0 {
+		snap.avgDocLen = float64(totalLen) / float64(base)
+	}
+	var pool *exec.Executor
 	if li.cfg.Parallel {
-		snap.pool = li.cfg.Executor
+		pool = li.cfg.Executor
 	}
+	snap.core = partition.NewViewSearcher(views, maps, snap, li.cfg.Analyzer, 0, pool)
 	snap.refs.Store(1)
 	if old := li.cur.Swap(snap); old != nil {
 		old.Release()

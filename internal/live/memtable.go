@@ -103,13 +103,18 @@ type memView struct {
 	base     int32
 }
 
-// search evaluates q against the view and returns the local top-k in the
-// segment searchers' order (descending score, ascending docID). The
-// memtable holds no positions, so phrase queries match nothing here —
-// mirroring segment behavior on non-positional indexes.
-func (v *memView) search(q search.Query, k int) []search.Hit {
+// SearchIntoShared evaluates q against the view into res: the local
+// top-k in the segment searchers' order (descending score, ascending
+// docID), with Matches counting the documents scored. The view is the
+// memtable member of a snapshot's partition.View set; its
+// map-accumulator scorer does not prune, so it neither consults nor
+// publishes the shared threshold. The memtable holds no positions, so
+// phrase queries match nothing here — mirroring segment behavior on
+// non-positional indexes.
+func (v *memView) SearchIntoShared(q search.Query, res *search.Result, k int, _ *search.ThresholdShare) {
+	res.Reset()
 	if v.upTo == 0 || len(q.Phrases) > 0 {
-		return nil
+		return
 	}
 	bm := index.DefaultBM25()
 	avg := float64(v.totalLen) / float64(v.upTo)
@@ -124,11 +129,12 @@ func (v *memView) search(q search.Query, k int) []search.Hit {
 		n := sort.Search(len(docs), func(i int) bool { return docs[i] >= v.upTo })
 		if n == 0 {
 			if q.Mode == search.ModeAnd {
-				return nil // a missing term empties the conjunction
+				return // a missing term empties the conjunction
 			}
 			continue
 		}
 		nTerms++
+		res.PostingsScanned += int64(n)
 		idf := index.IDF(int64(v.upTo), int64(n))
 		for i := 0; i < n; i++ {
 			d := docs[i]
@@ -144,16 +150,14 @@ func (v *memView) search(q search.Query, k int) []search.Hit {
 			a.terms++
 		}
 	}
-	if nTerms == 0 {
-		return nil
-	}
-	hits := make([]search.Hit, 0, len(accs))
+	hits := res.Hits
 	for d, a := range accs {
 		if q.Mode == search.ModeAnd && a.terms < nTerms {
 			continue
 		}
 		hits = append(hits, search.Hit{Doc: d, Score: a.score})
 	}
+	res.Matches = len(hits)
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Score != hits[j].Score {
 			return hits[i].Score > hits[j].Score
@@ -163,5 +167,5 @@ func (v *memView) search(q search.Query, k int) []search.Hit {
 	if len(hits) > k {
 		hits = hits[:k]
 	}
-	return hits
+	res.Hits = hits
 }

@@ -47,7 +47,9 @@ func searchIndependent(s *Snapshot, q search.Query, k int) []Hit {
 		lists = append(lists, hits)
 	}
 	for _, mv := range s.mems {
-		mh := mv.search(q, k)
+		var res search.Result
+		mv.SearchIntoShared(q, &res, k, nil)
+		mh := res.Hits
 		for i := range mh {
 			mh[i].Doc += mv.base
 		}
@@ -110,13 +112,13 @@ func TestParallelSnapshotSearchIdentical(t *testing.T) {
 	queries := []string{"alpha", "term3 term7", "beta term1 term2", "gamma delta", "term39", "filler alpha term5"}
 	for _, raw := range queries {
 		for _, mode := range []search.Mode{search.ModeOr, search.ModeAnd} {
-			q := search.ParseQuery(snap.analyzer, raw, mode)
+			q := search.ParseQuery(snap.core.Analyzer(), raw, mode)
 			want := searchIndependent(snap, q, 10)
 			check("parallel", snap.Search(q, 10), want, raw, mode)
 			// Same snapshot without the pool: the sequential shared path.
-			snap.pool = nil
+			snap.core.SetExecutor(nil)
 			check("sequential-shared", snap.Search(q, 10), want, raw, mode)
-			snap.pool = pool
+			snap.core.SetExecutor(pool)
 		}
 	}
 }

@@ -2,13 +2,11 @@ package live
 
 import (
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"websearchbench/internal/index"
+	"websearchbench/internal/partition"
 	"websearchbench/internal/search"
-	"websearchbench/internal/search/exec"
-	"websearchbench/internal/textproc"
 )
 
 // Hit is one ranked result from the live index, resolved to the
@@ -28,10 +26,8 @@ type segView struct {
 	keys []string
 	dead *Tombstones
 	base int32
-	// searcher is built once at publication and reused by every query
-	// against this view, so the per-segment search loop shares the
-	// allocation-pooled SearchInto path instead of constructing a fresh
-	// Searcher and Options per segment per query.
+	// searcher is the view's member of the snapshot's fan-out, built once
+	// at publication with the tombstone filter bound.
 	searcher *search.Searcher
 }
 
@@ -50,13 +46,13 @@ type Snapshot struct {
 	// mems are the in-memory views: frozen memtables awaiting their
 	// background flush (oldest first), then the active memtable. Their
 	// bases follow the segments' in the global docID space.
-	mems     []*memView
-	memBase  int32 // base of mems[0]; docIDs >= memBase resolve in mems
-	live     int64
-	analyzer *textproc.Analyzer
-	// pool is the bounded executor segment and memtable searches run on;
-	// nil keeps the sequential per-view loop.
-	pool *exec.Executor
+	mems      []*memView
+	memBase   int32 // base of mems[0]; docIDs >= memBase resolve in mems
+	live      int
+	avgDocLen float64
+	// core fans queries out over segs then mems, on the index's executor
+	// when one is configured; the snapshot is its partition.Source.
+	core *partition.Searcher
 }
 
 // Generation returns the snapshot's publication generation. Generations
@@ -65,7 +61,17 @@ type Snapshot struct {
 func (s *Snapshot) Generation() uint64 { return s.gen }
 
 // NumDocs returns the number of live (non-tombstoned) documents visible.
-func (s *Snapshot) NumDocs() int64 { return s.live }
+func (s *Snapshot) NumDocs() int { return s.live }
+
+// AvgDocLen returns the mean length in terms of the documents in the
+// view, tombstoned ones included.
+func (s *Snapshot) AvgDocLen() float64 { return s.avgDocLen }
+
+// Searcher returns the fan-out over the snapshot's views, for callers
+// that serve static and live indexes through one path. Hits carry
+// snapshot-global docIDs, resolved by its Doc; its Release releases the
+// snapshot.
+func (s *Snapshot) Searcher() *partition.Searcher { return s.core }
 
 // NumSegments returns the number of immutable segments in the view.
 func (s *Snapshot) NumSegments() int { return len(s.segs) }
@@ -85,31 +91,6 @@ func (s *Snapshot) tryRef() bool {
 
 // Release drops one reference. The snapshot must not be used afterwards.
 func (s *Snapshot) Release() { s.refs.Add(-1) }
-
-// searchScratch is the per-query working set of a snapshot search: one
-// pooled Result per segment view (whose Hits arrays SearchInto refills
-// in place), the memtable hit lists, the merge input and the merged
-// top-k. Pooled so steady-state snapshot searches allocate only the
-// resolved hits that escape to the caller — and with SearchInto not
-// even those.
-type searchScratch struct {
-	partRes []search.Result
-	lists   [][]search.Hit
-	merged  []search.Hit
-}
-
-var searchScratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
-
-func (sc *searchScratch) grow(n int) {
-	for len(sc.partRes) < n {
-		sc.partRes = append(sc.partRes, search.Result{})
-	}
-	sc.partRes = sc.partRes[:n]
-	for len(sc.lists) < n {
-		sc.lists = append(sc.lists, nil)
-	}
-	sc.lists = sc.lists[:n]
-}
 
 // Search evaluates an analyzed query against the snapshot and returns
 // the global top-k: each segment and the memtable view produce a local
@@ -131,67 +112,26 @@ func (s *Snapshot) Search(q search.Query, k int) []Hit {
 // aliases dst's backing array; its hits pin snapshot data (keys, stored
 // docs), so pooled buffers should be cleared before reuse.
 func (s *Snapshot) SearchInto(q search.Query, k int, dst []Hit) []Hit {
-	if k <= 0 {
-		k = 10
-	}
 	if s.refs.Load() <= 0 {
 		panic("live: Search on a released snapshot")
 	}
-	nSegs := len(s.segs)
-	n := nSegs + len(s.mems)
-	sc := searchScratchPool.Get().(*searchScratch)
-	sc.grow(n)
-	var share *search.ThresholdShare
-	if nSegs > 1 {
-		share = search.GetThresholdShare()
-	}
-	run := func(i int) {
-		if i < nSegs {
-			sv := s.segs[i]
-			sv.searcher.SearchIntoShared(q, &sc.partRes[i], k, share)
-			sc.lists[i] = sc.partRes[i].Hits
-			return
-		}
-		// Memtable views use the map-accumulator scorer: no pruning, so
-		// they neither consult nor publish the shared threshold.
-		sc.lists[i] = s.mems[i-nSegs].search(q, k)
-	}
-	if s.pool != nil && n > 1 {
-		s.pool.Map(n, run)
-	} else {
-		for i := 0; i < n; i++ {
-			run(i)
-		}
-	}
-	// Rebase local docIDs into the snapshot's global space sequentially
-	// after the fork-join; the per-view lists are scratch.
-	for i, sv := range s.segs {
-		for j := range sc.lists[i] {
-			sc.lists[i][j].Doc += sv.base
-		}
-	}
-	for i, mv := range s.mems {
-		for j := range sc.lists[nSegs+i] {
-			sc.lists[nSegs+i][j].Doc += mv.base
-		}
-	}
-	sc.merged = search.MergeTopKInto(sc.merged, sc.lists, k)
-	for _, h := range sc.merged {
+	sc := partition.GetScratch()
+	s.core.SearchInto(q, k, sc)
+	for _, h := range sc.Hits {
 		dst = append(dst, s.resolve(h))
 	}
-	for i := range sc.lists {
-		sc.lists[i] = nil // drop hit references; partRes keeps its capacity
-	}
-	searchScratchPool.Put(sc)
-	if share != nil {
-		search.PutThresholdShare(share)
-	}
+	partition.PutScratch(sc)
 	return dst
 }
 
 // SearchText parses raw query text and evaluates it against the snapshot.
 func (s *Snapshot) SearchText(raw string, mode search.Mode, k int) []Hit {
-	return s.Search(search.ParseQuery(s.analyzer, raw, mode), k)
+	return s.Search(search.ParseQuery(s.core.Analyzer(), raw, mode), k)
+}
+
+// Doc returns the stored document behind a snapshot-global docID.
+func (s *Snapshot) Doc(global int32) index.StoredDoc {
+	return s.resolve(search.Hit{Doc: global}).Doc
 }
 
 // resolve maps a global-docID hit back to its source's key and stored

@@ -40,18 +40,23 @@ func (a Assignment) String() string {
 }
 
 // Index is a partitioned index: P independent segments plus the local-to-
-// global docID mapping.
+// global docID mapping. The mapping is affine per partition (see
+// DocMap), so it costs O(P) memory however many documents there are.
 type Index struct {
 	segs       []*index.Segment
-	globalIDs  [][]int32 // globalIDs[p][local] = global docID
+	maps       []DocMap
 	assignment Assignment
 	numDocs    int
 }
 
+// DocMap places one view's local docIDs in its set's global docID
+// space: global = Base + local*Stride. Round-robin partition p of P is
+// {p, P}; a view owning a consecutive ID block is {first ID, 1}.
+type DocMap struct{ Base, Stride int32 }
+
 // Builder routes documents to per-partition index builders.
 type Builder struct {
 	builders   []*index.Builder
-	globalIDs  [][]int32
 	assignment Assignment
 	expected   int // expected total docs, needed by Range
 	next       int
@@ -70,7 +75,6 @@ func NewBuilder(parts int, assignment Assignment, expectedDocs int, opts ...inde
 	}
 	b := &Builder{
 		builders:   make([]*index.Builder, parts),
-		globalIDs:  make([][]int32, parts),
 		assignment: assignment,
 		expected:   expectedDocs,
 	}
@@ -101,7 +105,6 @@ func (b *Builder) AddDocument(title, body, url string, quality float64) int32 {
 	part := b.partitionFor(b.next)
 	b.next++
 	b.builders[part].AddDocument(title, body, url, quality)
-	b.globalIDs[part] = append(b.globalIDs[part], global)
 	return global
 }
 
@@ -112,17 +115,32 @@ func (b *Builder) AddCorpusDoc(d corpus.Document) int32 {
 
 // Finalize freezes all partitions into an immutable Index.
 func (b *Builder) Finalize() *Index {
-	idx := &Index{
-		segs:       make([]*index.Segment, len(b.builders)),
-		globalIDs:  b.globalIDs,
-		assignment: b.assignment,
-		numDocs:    b.next,
-	}
+	segs := make([]*index.Segment, len(b.builders))
 	for i, pb := range b.builders {
-		idx.segs[i] = pb.Finalize()
+		segs[i] = pb.Finalize()
 	}
 	b.builders = nil
-	b.globalIDs = nil
+	if b.assignment == Range {
+		// partitionFor is monotone in the docID, so Range partitions own
+		// consecutive ID blocks in partition order.
+		return FromSegments(segs)
+	}
+	idx := &Index{segs: segs, maps: make([]DocMap, len(segs)), assignment: RoundRobin, numDocs: b.next}
+	for p := range idx.maps {
+		idx.maps[p] = DocMap{Base: int32(p), Stride: int32(len(segs))}
+	}
+	return idx
+}
+
+// FromSegments wraps an already-built segment set (a blob-store
+// manifest's, say) as a Range-assigned index: segment i is partition i
+// and owns the next NumDocs-long block of global docIDs.
+func FromSegments(segs []*index.Segment) *Index {
+	idx := &Index{segs: segs, maps: make([]DocMap, len(segs)), assignment: Range}
+	for p, seg := range segs {
+		idx.maps[p] = DocMap{Base: int32(idx.numDocs), Stride: 1}
+		idx.numDocs += seg.NumDocs()
+	}
 	return idx
 }
 
@@ -154,7 +172,8 @@ func (idx *Index) Segment(p int) *index.Segment { return idx.segs[p] }
 
 // GlobalID maps partition p's local docID to the global docID.
 func (idx *Index) GlobalID(p int, local int32) int32 {
-	return idx.globalIDs[p][local]
+	m := idx.maps[p]
+	return m.Base + local*m.Stride
 }
 
 // Doc returns the stored document for a global docID.
@@ -170,9 +189,9 @@ func (idx *Index) locate(global int32) (int, int32) {
 	case Range:
 		// Range partitions hold contiguous ascending ID blocks; with at
 		// most a few dozen partitions a linear scan is fine.
-		for p, ids := range idx.globalIDs {
-			if n := len(ids); n > 0 && global >= ids[0] && global <= ids[n-1] {
-				return p, global - ids[0]
+		for p, m := range idx.maps {
+			if local := global - m.Base; local >= 0 && int(local) < idx.segs[p].NumDocs() {
+				return p, local
 			}
 		}
 		panic(fmt.Sprintf("partition: unknown global docID %d", global))

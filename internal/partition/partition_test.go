@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -308,11 +310,51 @@ func TestRangeMoreImbalancedThanRoundRobin(t *testing.T) {
 func BenchmarkPartitionedSearch(b *testing.B) {
 	idx, _, vocab := buildBoth(b, 8)
 	s := NewSearcher(idx, search.Options{TopK: 10}, false)
-	q := search.ParseQuery(s.searchers[0].Options().Analyzer,
+	q := search.ParseQuery(s.Analyzer(),
 		vocab.Word(0)+" "+vocab.Word(20), search.ModeOr)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Search(q)
+	}
+}
+
+// TestFromSegmentsAllocation: wrapping a segment set (every blob
+// generation swap does it) costs memory in the number of segments, not
+// the number of documents, and still resolves every global docID.
+func TestFromSegmentsAllocation(t *testing.T) {
+	build := func(docsPerSeg int) []*index.Segment {
+		segs := make([]*index.Segment, 4)
+		for p := range segs {
+			b := index.NewBuilder()
+			for i := 0; i < docsPerSeg; i++ {
+				b.AddDocument("t", "body text", fmt.Sprintf("u-%d-%d", p, i), 0)
+			}
+			segs[p] = b.Finalize()
+		}
+		return segs
+	}
+	var sink *Index
+	allocated := func(segs []*index.Segment) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		sink = FromSegments(segs)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := build(5), build(5000)
+	a, b := allocated(small), allocated(large)
+	if b > a+256 {
+		t.Errorf("FromSegments allocated %d B for 20 docs but %d B for 20000", a, b)
+	}
+	if sink.NumDocs() != 20000 || sink.Assignment() != Range {
+		t.Fatalf("docs=%d assignment=%v", sink.NumDocs(), sink.Assignment())
+	}
+	for _, g := range []int32{0, 4999, 5000, 12345, 19999} {
+		p, local := sink.locate(g)
+		want := fmt.Sprintf("u-%d-%d", g/5000, g%5000)
+		if sink.GlobalID(p, local) != g || sink.Doc(g).URL != want {
+			t.Errorf("global %d -> (%d, %d) -> %d, URL %q want %q", g, p, local, sink.GlobalID(p, local), sink.Doc(g).URL, want)
+		}
 	}
 }

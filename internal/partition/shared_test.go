@@ -64,7 +64,7 @@ func TestSharedThresholdIdenticalTopK(t *testing.T) {
 						if trial%3 == 0 {
 							mode = search.ModeAnd
 						}
-						q := search.ParseQuery(indep.searchers[0].Options().Analyzer, raw, mode)
+						q := search.ParseQuery(indep.Analyzer(), raw, mode)
 
 						want := indep.Search(q)
 						got := shared.Search(q)

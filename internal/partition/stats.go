@@ -24,6 +24,19 @@ func GlobalStats(idx *Index) *search.CollectionStats {
 	return st
 }
 
+// AvgDocLen returns the mean document length in terms across all
+// partitions, 0 for an empty index.
+func (idx *Index) AvgDocLen() float64 {
+	var totalLen int64
+	for _, seg := range idx.segs {
+		totalLen += seg.TotalLen()
+	}
+	if idx.numDocs == 0 {
+		return 0
+	}
+	return float64(totalLen) / float64(idx.numDocs)
+}
+
 // Imbalance quantifies how unevenly a term's postings spread over
 // partitions: the ratio of the largest per-partition document frequency to
 // the ideal (total/P). 1.0 is perfectly balanced; larger values mean one

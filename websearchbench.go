@@ -14,7 +14,6 @@ package websearchbench
 
 import (
 	"fmt"
-	"sync"
 
 	"websearchbench/internal/corpus"
 	"websearchbench/internal/index"
@@ -87,19 +86,23 @@ type Result struct {
 	Score       float64
 }
 
-// Engine is an in-process web search engine over a partitioned index.
-// It is safe for concurrent use.
+// Engine is an in-process web search engine over a partitioned or live
+// index. It is safe for concurrent use.
 type Engine struct {
-	cfg      Config
-	idx      *partition.Index
-	searcher *partition.Searcher
-	mode     search.Mode
-	cache    *qcache.Cache[[]Result]
-	// live and gcache replace idx/searcher/cache when Config.Live is set:
-	// the mutable index plus a generation-stamped result cache keyed by
-	// the snapshot generation each result was computed against.
-	live   *live.Index
-	gcache *qcache.Generational[[]Result]
+	cfg  Config
+	mode search.Mode
+	// acquire returns the immutable view set a query runs against and
+	// the generation it was published at; the query Releases it when
+	// done. A static engine always returns its one searcher, at
+	// generation 0; a live engine returns the current snapshot's.
+	acquire func() (*partition.Searcher, uint64)
+	// cache is keyed by generation, so a result computed before a
+	// mutation batch can never be replayed against the newer index state.
+	cache *qcache.Generational[[]Result]
+	// idx is the static engine's index and live the live engine's; the
+	// other is nil.
+	idx  *partition.Index
+	live *live.Index
 	// analyzer is stateless and shared across queries, so the facade
 	// does not rebuild the stopword set per search.
 	analyzer *textproc.Analyzer
@@ -135,8 +138,18 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.ExecWorkers > 0 {
 		exec.SetDefaultWorkers(cfg.ExecWorkers)
 	}
+	e := &Engine{cfg: cfg, mode: search.ModeOr, analyzer: textproc.NewAnalyzer()}
+	if cfg.Conjunctive {
+		e.mode = search.ModeAnd
+	}
+	if cfg.CacheSize > 0 {
+		e.cache = qcache.NewGenerational[[]Result](cfg.CacheSize)
+	}
 	if cfg.Live {
-		return newLive(cfg, ccfg)
+		if err := e.seedLive(ccfg); err != nil {
+			return nil, err
+		}
+		return e, nil
 	}
 	var bopts []index.BuilderOption
 	if cfg.Positions {
@@ -150,39 +163,26 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.GlobalStats {
 		opts.Stats = partition.GlobalStats(idx)
 	}
-	mode := search.ModeOr
-	if cfg.Conjunctive {
-		mode = search.ModeAnd
-	}
-	e := &Engine{
-		cfg:      cfg,
-		idx:      idx,
-		searcher: partition.NewSearcher(idx, opts, cfg.Parallel),
-		mode:     mode,
-		analyzer: textproc.NewAnalyzer(),
-	}
-	if cfg.IndependentPruning {
-		e.searcher.SetSharedPruning(false)
-	}
-	if cfg.CacheSize > 0 {
-		e.cache = qcache.New[[]Result](cfg.CacheSize)
-	}
+	sr := partition.NewSearcher(idx, opts, cfg.Parallel)
+	sr.SetSharedPruning(!cfg.IndependentPruning)
+	e.idx = idx
+	e.acquire = func() (*partition.Searcher, uint64) { return sr, 0 }
 	return e, nil
 }
 
-// newLive builds a live-mode engine: the synthetic corpus is streamed
+// seedLive makes e a live-mode engine: the synthetic corpus is streamed
 // into a mutable live index (keyed by URL) instead of immutable
 // partitions.
-func newLive(cfg Config, ccfg corpus.Config) (*Engine, error) {
-	if cfg.Positions {
-		return nil, fmt.Errorf("websearchbench: Live does not support Positions (live segments carry no positional postings)")
+func (e *Engine) seedLive(ccfg corpus.Config) error {
+	if e.cfg.Positions {
+		return fmt.Errorf("websearchbench: Live does not support Positions (live segments carry no positional postings)")
 	}
 	gen, err := corpus.NewGenerator(ccfg)
 	if err != nil {
-		return nil, fmt.Errorf("websearchbench: %w", err)
+		return fmt.Errorf("websearchbench: %w", err)
 	}
-	lcfg := cfg.LiveConfig
-	lcfg.Parallel = lcfg.Parallel || cfg.Parallel
+	lcfg := e.cfg.LiveConfig
+	lcfg.Parallel = lcfg.Parallel || e.cfg.Parallel
 	seedRefresh := lcfg.RefreshEvery
 	// Seeding publishes once at the end, not once per document.
 	lcfg.RefreshEvery = 1 << 30
@@ -192,29 +192,27 @@ func newLive(cfg Config, ccfg corpus.Config) (*Engine, error) {
 	})
 	li.SetRefreshEvery(seedRefresh)
 	li.Refresh()
-	mode := search.ModeOr
-	if cfg.Conjunctive {
-		mode = search.ModeAnd
+	e.live = li
+	e.acquire = func() (*partition.Searcher, uint64) {
+		snap := li.Acquire()
+		return snap.Searcher(), snap.Generation()
 	}
-	e := &Engine{cfg: cfg, live: li, mode: mode, analyzer: textproc.NewAnalyzer()}
-	if cfg.CacheSize > 0 {
-		e.gcache = qcache.NewGenerational[[]Result](cfg.CacheSize)
-	}
-	return e, nil
+	return nil
 }
 
 // Search evaluates a free-text query and returns the ranked results.
 func (e *Engine) Search(query string) []Result {
-	if e.live != nil {
-		return e.searchLive(query)
-	}
+	sr, gen := e.acquire()
+	defer sr.Release()
 	if e.cache != nil {
-		if cached, ok := e.cache.Get(query); ok {
+		if cached, ok := e.cache.GetAt(gen, query); ok {
 			return cached
 		}
 	}
 	q := search.ParseQuery(e.analyzer, query, e.mode)
-	res := e.searcher.Search(q)
+	sc := partition.GetScratch()
+	defer partition.PutScratch(sc)
+	sr.SearchInto(q, e.cfg.TopK, sc)
 	// Highlighting matches loose terms and phrase members alike; without
 	// phrases the parsed terms are used as-is.
 	highlightTerms := q.Terms
@@ -224,9 +222,9 @@ func (e *Engine) Search(query string) []Result {
 			highlightTerms = append(highlightTerms, p...)
 		}
 	}
-	out := make([]Result, 0, len(res.Hits))
-	for _, h := range res.Hits {
-		doc := e.idx.Doc(h.Doc)
+	out := make([]Result, 0, len(sc.Hits))
+	for _, h := range sc.Hits {
+		doc := sr.Doc(h.Doc)
 		snip := search.MakeSnippet(e.analyzer, doc.Snippet, highlightTerms, 0)
 		out = append(out, Result{
 			URL:         doc.URL,
@@ -237,54 +235,10 @@ func (e *Engine) Search(query string) []Result {
 		})
 	}
 	if e.cache != nil {
-		e.cache.Put(query, out)
+		e.cache.PutAt(gen, query, out)
 	}
 	return out
 }
-
-// searchLive answers a query from the live index under one acquired
-// snapshot. The result cache is keyed by the snapshot's generation, so a
-// result computed before any later mutation batch can never be replayed
-// against the newer index state.
-func (e *Engine) searchLive(query string) []Result {
-	snap := e.live.Acquire()
-	defer snap.Release()
-	if e.gcache != nil {
-		if cached, ok := e.gcache.GetAt(snap.Generation(), query); ok {
-			return cached
-		}
-	}
-	q := search.ParseQuery(e.analyzer, query, e.mode)
-	hp := liveHitsPool.Get().(*[]live.Hit)
-	hits := snap.SearchInto(q, e.cfg.TopK, (*hp)[:0])
-	out := make([]Result, 0, len(hits))
-	for _, h := range hits {
-		snip := search.MakeSnippet(e.analyzer, h.Doc.Snippet, q.Terms, 0)
-		out = append(out, Result{
-			URL:         h.Doc.URL,
-			Title:       h.Doc.Title,
-			Snippet:     h.Doc.Snippet,
-			Highlighted: snip.HTML(),
-			Score:       h.Score,
-		})
-	}
-	if e.gcache != nil {
-		e.gcache.PutAt(snap.Generation(), query, out)
-	}
-	// Clear the pooled hits before returning them: live.Hit pins keys and
-	// stored documents, which a pool must not retain across queries.
-	for i := range hits {
-		hits[i] = live.Hit{}
-	}
-	*hp = hits[:0]
-	liveHitsPool.Put(hp)
-	return out
-}
-
-// liveHitsPool recycles the per-query live hit buffer the facade hands
-// to Snapshot.SearchInto, keeping the serving path allocation-free up to
-// the Results that escape to the caller.
-var liveHitsPool = sync.Pool{New: func() any { return new([]live.Hit) }}
 
 // mustLive guards the mutation API against static engines.
 func (e *Engine) mustLive() *live.Index {
@@ -334,9 +288,6 @@ func (e *Engine) Close() {
 // CacheHitRate reports the engine result cache's lifetime hit rate (0
 // when no cache is configured).
 func (e *Engine) CacheHitRate() float64 {
-	if e.gcache != nil {
-		return e.gcache.HitRate()
-	}
 	if e.cache == nil {
 		return 0
 	}
@@ -345,10 +296,9 @@ func (e *Engine) CacheHitRate() float64 {
 
 // NumDocs returns the number of indexed (live) documents.
 func (e *Engine) NumDocs() int {
-	if e.live != nil {
-		return int(e.live.Stats().LiveDocs)
-	}
-	return e.idx.NumDocs()
+	sr, _ := e.acquire()
+	defer sr.Release()
+	return sr.NumDocs()
 }
 
 // NumPartitions returns the intra-server partition count (1 for live
