@@ -1,8 +1,9 @@
 package websearchbench
 
-// The benchmark harness: one testing.B benchmark per reconstructed table
-// and figure (E1..E13 in DESIGN.md) plus the design-choice ablations.
-// Each benchmark runs its experiment end-to-end at a reduced scale; the
+// The benchmark harness: one table-driven testing.B benchmark over the
+// experiment roster (experiments.All — the reconstructed tables and
+// figures indexed in DESIGN.md plus the design-choice ablations). Each
+// sub-benchmark runs its experiment end-to-end at a reduced scale; the
 // full-scale numbers recorded in EXPERIMENTS.md come from cmd/benchrunner.
 //
 // Run them all with:
@@ -11,7 +12,6 @@ package websearchbench
 
 import (
 	"io"
-	"sync"
 	"testing"
 
 	"websearchbench/internal/experiments"
@@ -20,230 +20,23 @@ import (
 // benchScale keeps every experiment benchmark in the sub-second range.
 const benchScale = 0.05
 
-var (
-	benchCtxOnce sync.Once
-	benchCtx     *experiments.Context
-)
-
-// sharedCtx returns a context whose corpus, workload, measurements and
-// calibration are built once and reused, so each benchmark times its own
+// BenchmarkExperiments regenerates every table of the roster
+// experiments.All, one sub-benchmark per experiment ID
+// (go test -bench 'BenchmarkExperiments/E7$'). The calibration needs the
+// corpus, the workload and the measured demands, so forcing it builds
+// every shared artifact up front and each sub-benchmark times its own
 // experiment rather than the shared setup.
-func sharedCtx(b *testing.B) *experiments.Context {
-	b.Helper()
-	benchCtxOnce.Do(func() {
-		benchCtx = experiments.NewContext(io.Discard, benchScale)
-		// Force the shared artifacts eagerly.
-		benchCtx.Segment()
-		benchCtx.Stream()
-		benchCtx.Analyzed()
-		benchCtx.Demands()
-		benchCtx.Calibration()
-	})
-	return benchCtx
-}
-
-func benchExperiment(b *testing.B, run func(c *experiments.Context)) {
-	c := sharedCtx(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(c)
+func BenchmarkExperiments(b *testing.B) {
+	c := experiments.NewContext(io.Discard, benchScale)
+	c.Calibration()
+	for _, e := range experiments.All {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e.Run(c)
+			}
+		})
 	}
-}
-
-// BenchmarkE1Characterization regenerates the index-characterization
-// table (paper's benchmark anatomy).
-func BenchmarkE1Characterization(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E1Characterization() })
-}
-
-// BenchmarkE2Workload regenerates the query-workload table.
-func BenchmarkE2Workload(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E2Workload() })
-}
-
-// BenchmarkE3PhaseBreakdown regenerates the per-phase service-time
-// breakdown figure.
-func BenchmarkE3PhaseBreakdown(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E3PhaseBreakdown() })
-}
-
-// BenchmarkE4ServiceTimeAnatomy regenerates the service-time-anatomy
-// figure (latency vs query length and posting volume).
-func BenchmarkE4ServiceTimeAnatomy(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E4ServiceTimeAnatomy() })
-}
-
-// BenchmarkE5LoadCurve regenerates the response-time-vs-load figure.
-func BenchmarkE5LoadCurve(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E5LoadCurve() })
-}
-
-// BenchmarkE6Throughput regenerates the throughput-vs-clients figure and
-// QoS ceiling.
-func BenchmarkE6Throughput(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E6Throughput() })
-}
-
-// BenchmarkE7PartitionTail regenerates the key tail-latency-vs-partitions
-// figure.
-func BenchmarkE7PartitionTail(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E7PartitionTail() })
-}
-
-// BenchmarkE8PartitionThroughput regenerates the peak-throughput-vs-
-// partitions figure.
-func BenchmarkE8PartitionThroughput(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E8PartitionThroughput() })
-}
-
-// BenchmarkE9CDF regenerates the response-time CDF figure (1 vs 8
-// partitions).
-func BenchmarkE9CDF(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E9CDF() })
-}
-
-// BenchmarkE10LowPower regenerates the low-power-vs-high-performance
-// server figure.
-func BenchmarkE10LowPower(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E10LowPower() })
-}
-
-// BenchmarkE11Energy regenerates the energy-per-query comparison.
-func BenchmarkE11Energy(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E11Energy() })
-}
-
-// BenchmarkE12RealPartition regenerates the real-engine partitioning
-// measurement (and simulator calibration).
-func BenchmarkE12RealPartition(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E12RealPartition() })
-}
-
-// BenchmarkE13Cluster regenerates the distributed scatter/gather
-// measurement over loopback HTTP.
-func BenchmarkE13Cluster(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E13Cluster() })
-}
-
-// BenchmarkE14ResultCache regenerates the result-cache extension
-// experiment.
-func BenchmarkE14ResultCache(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E14ResultCache() })
-}
-
-// BenchmarkE15DVFS regenerates the DVFS frequency-sweep extension
-// experiment.
-func BenchmarkE15DVFS(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E15DVFS() })
-}
-
-// BenchmarkE16TailAtScale regenerates the tail-at-scale fan-out extension
-// experiment.
-func BenchmarkE16TailAtScale(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E16TailAtScale() })
-}
-
-// BenchmarkE17Diurnal regenerates the diurnal-load QoS extension
-// experiment.
-func BenchmarkE17Diurnal(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E17Diurnal() })
-}
-
-// BenchmarkE18Hedging regenerates the hedged-requests extension
-// experiment.
-func BenchmarkE18Hedging(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E18Hedging() })
-}
-
-// BenchmarkE19LiveFaults regenerates the live fault-injection resilience
-// experiment.
-func BenchmarkE19LiveFaults(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E19LiveFaults() })
-}
-
-// BenchmarkLiveIngest regenerates the live-ingest interference experiment
-// (query p50/p99 and throughput against a mutating near-real-time index).
-func BenchmarkLiveIngest(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E20LiveIngest() })
-}
-
-// BenchmarkE21Replication regenerates the replicated serving-tier
-// experiment (replica count and selector ablation under faults).
-func BenchmarkE21Replication(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E21Replication() })
-}
-
-// BenchmarkE22Durability regenerates the durability experiment (ingest
-// throughput per fsync policy and recovery time vs WAL size).
-func BenchmarkE22Durability(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E22Durability() })
-}
-
-// BenchmarkE23ParallelIndexing regenerates the parallel-indexing
-// experiment (build throughput vs worker count, rebuild interference).
-func BenchmarkE23ParallelIndexing(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E23ParallelIndexing() })
-}
-
-// BenchmarkSharedThreshold regenerates the shared-threshold parallel
-// execution experiment (cross-partition pruning savings, bounded
-// executor vs goroutine-per-partition under load, live-path latency).
-func BenchmarkSharedThreshold(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E24SharedExec() })
-}
-
-// BenchmarkE25BlobServing regenerates the disaggregated-serving table
-// (cold start and block-cache sweep).
-func BenchmarkE25BlobServing(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.E25BlobServing() })
-}
-
-// BenchmarkAblationMaxScore regenerates the MaxScore pruning ablation.
-func BenchmarkAblationMaxScore(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.AblationMaxScore() })
-}
-
-// BenchmarkAblationCompression regenerates the postings-compression
-// ablation.
-func BenchmarkAblationCompression(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.AblationCompression() })
-}
-
-// BenchmarkAblationAssignment regenerates the document-assignment
-// ablation.
-func BenchmarkAblationAssignment(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.AblationAssignment() })
-}
-
-// BenchmarkAblationTopK regenerates the top-k sensitivity ablation.
-func BenchmarkAblationTopK(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.AblationTopK() })
-}
-
-// BenchmarkAblationScheduling regenerates the FCFS-vs-SJF scheduling
-// ablation.
-func BenchmarkAblationScheduling(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.AblationScheduling() })
-}
-
-// BenchmarkAblationSkipLists regenerates the skip-table ablation.
-func BenchmarkAblationSkipLists(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.AblationSkipLists() })
-}
-
-// BenchmarkAblationBlockMax regenerates the Block-Max pruning ablation
-// (pruning off vs MaxScore vs Block-Max: service time, postings decoded,
-// allocations per query).
-func BenchmarkAblationBlockMax(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.AblationBlockMax() })
-}
-
-// BenchmarkAblationPackedCompression regenerates the packed-compression
-// ablation (raw vs varint vs packed: postings bytes, decode ns/posting,
-// service time, allocations per query).
-func BenchmarkAblationPackedCompression(b *testing.B) {
-	benchExperiment(b, func(c *experiments.Context) { c.AblationPackedCompression() })
 }
 
 // BenchmarkEngineSearch measures the end-to-end facade query path.

@@ -1,7 +1,7 @@
-// Command benchrunner regenerates every table and figure of the paper's
-// reconstructed evaluation (E1..E24 plus the design ablations), printing
-// each as a text table. See DESIGN.md for the experiment index and
-// EXPERIMENTS.md for the recorded results.
+// Command benchrunner regenerates the tables and figures of the paper's
+// reconstructed evaluation (the roster experiments.All: the E-series plus
+// the design ablations), printing each as a text table. See DESIGN.md for
+// the experiment index and EXPERIMENTS.md for the recorded results.
 //
 // Usage:
 //
@@ -13,9 +13,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 
 	"websearchbench/internal/experiments"
@@ -23,88 +24,60 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("benchrunner: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is main with its inputs and outputs as parameters; it returns the
+// exit status (2 for a usage error, 1 for a failed run).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scale   = flag.Float64("scale", 1.0, "scale factor for corpus/queries/sim durations")
-		only    = flag.String("only", "", "run a single experiment (E1..E24, ABL-1..ABL-8)")
-		jsonO   = flag.String("json", "", "write the run's measurements to this file as a JSON array of records (see experiments.Record for the schema)")
-		workers = flag.Int("exec-workers", 0, "bounded search executor workers for the parallel-search experiments (0 = GOMAXPROCS)")
+		scale   = fs.Float64("scale", 1.0, "scale factor for corpus/queries/sim durations")
+		only    = fs.String("only", "", "run a single experiment: one of "+experiments.IDs())
+		jsonO   = fs.String("json", "", "write the run's measurements to this file as a JSON array of records (see experiments.Record for the schema)")
+		workers = fs.Int("exec-workers", 0, "bounded search executor workers for the parallel-search experiments (0 = GOMAXPROCS)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "benchrunner: unexpected argument %q (select an experiment with -only); valid: %s\n",
+			fs.Arg(0), experiments.IDs())
+		return 2
+	}
+	sel := experiments.Experiment{ID: "all", Run: (*experiments.Context).RunAll}
+	if *only != "" {
+		var ok bool
+		if sel, ok = experiments.Lookup(*only); !ok {
+			fmt.Fprintf(stderr, "benchrunner: unknown experiment %q; valid: %s\n", *only, experiments.IDs())
+			return 2
+		}
+	}
 	if *workers > 0 {
 		exec.SetDefaultWorkers(*workers)
 	}
 
-	c := experiments.NewContext(os.Stdout, *scale)
-	defer func() {
-		if *jsonO == "" {
-			return
-		}
-		if err := writeJSON(*jsonO, c.Records()); err != nil {
-			log.Fatal(err)
-		}
-	}()
-	if *only == "" {
-		c.RunAll()
-		return
+	c := experiments.NewContext(stdout, *scale)
+	sel.Run(c)
+	if *jsonO == "" {
+		return 0
 	}
-	steps := map[string]func(){
-		"E1":    func() { c.E1Characterization() },
-		"E2":    func() { c.E2Workload() },
-		"E3":    func() { c.E3PhaseBreakdown() },
-		"E4":    func() { c.E4ServiceTimeAnatomy() },
-		"E5":    func() { c.E5LoadCurve() },
-		"E6":    func() { c.E6Throughput() },
-		"E7":    func() { c.E7PartitionTail() },
-		"E8":    func() { c.E8PartitionThroughput() },
-		"E9":    func() { c.E9CDF() },
-		"E10":   func() { c.E10LowPower() },
-		"E11":   func() { c.E11Energy() },
-		"E12":   func() { c.E12RealPartition() },
-		"E13":   func() { c.E13Cluster() },
-		"E14":   func() { c.E14ResultCache() },
-		"E15":   func() { c.E15DVFS() },
-		"E16":   func() { c.E16TailAtScale() },
-		"E17":   func() { c.E17Diurnal() },
-		"E18":   func() { c.E18Hedging() },
-		"E19":   func() { c.E19LiveFaults() },
-		"E20":   func() { c.E20LiveIngest() },
-		"E21":   func() { c.E21Replication() },
-		"E22":   func() { c.E22Durability() },
-		"E23":   func() { c.E23ParallelIndexing() },
-		"E24":   func() { c.E24SharedExec() },
-		"ABL-1": func() { c.AblationMaxScore() },
-		"ABL-2": func() { c.AblationCompression() },
-		"ABL-3": func() { c.AblationAssignment() },
-		"ABL-4": func() { c.AblationTopK() },
-		"ABL-5": func() { c.AblationScheduling() },
-		"ABL-6": func() { c.AblationSkipLists() },
-		"ABL-7": func() { c.AblationBlockMax() },
-		"ABL-8": func() { c.AblationPackedCompression() },
-	}
-	run, ok := steps[*only]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid:", *only)
-		for k := range steps {
-			fmt.Fprintf(os.Stderr, " %s", k)
-		}
-		fmt.Fprintln(os.Stderr)
-		os.Exit(2)
-	}
-	run()
-}
-
-// writeJSON writes records to path as an indented JSON array. An empty
-// run writes "[]", not "null", so consumers always get an array.
-func writeJSON(path string, records []experiments.Record) error {
-	if records == nil {
-		records = []experiments.Record{}
+	records := c.Records()
+	if len(records) == 0 {
+		fmt.Fprintf(stderr, "benchrunner: experiment %s emitted no records; %s not written\n", sel.ID, *jsonO)
+		return 1
 	}
 	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		return err
+	if err == nil {
+		err = os.WriteFile(*jsonO, append(data, '\n'), 0o644)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	if err != nil {
+		fmt.Fprintf(stderr, "benchrunner: %v\n", err)
+		return 1
+	}
+	return 0
 }

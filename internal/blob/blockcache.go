@@ -32,7 +32,7 @@ type blockKey struct {
 }
 
 // CacheStats is a snapshot of cache effectiveness counters, surfaced on
-// the node /metrics endpoint and consumed by the E25 experiment.
+// the node /metrics endpoint.
 type CacheStats struct {
 	Hits         int64 `json:"hits"`
 	Misses       int64 `json:"misses"`

@@ -12,8 +12,8 @@ import (
 // injectable per-operation latency (to model object-store round-trip
 // time in experiments) and an injectable fault hook (to exercise
 // searcher retry paths in tests). It also counts operations, which is
-// what lets E25 report blocks-fetched and bytes-over-the-wire without
-// instrumenting the real backends.
+// what lets the benchmark report blocks fetched and bytes over the wire
+// without instrumenting the real backends.
 type MemStore struct {
 	mu   sync.RWMutex
 	objs map[string][]byte

@@ -97,7 +97,8 @@ func TestRemoteTopKEquivalence(t *testing.T) {
 
 	for _, bk := range stores {
 		pub := &Publisher{Store: bk.st, CreatedBy: "test"}
-		if _, err := pub.Publish([]PubSegment{{ID: 1, Seg: seg}}); err != nil {
+		m, err := pub.Publish([]PubSegment{{ID: 1, Seg: seg}})
+		if err != nil {
 			t.Fatalf("%s: publish: %v", bk.name, err)
 		}
 		src := NewCachedSegmentSource(bk.st, NewBlockCache(32<<20))
@@ -105,18 +106,29 @@ func TestRemoteTopKEquivalence(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s: LoadSnapshot: ok=%v err=%v", bk.name, ok, err)
 		}
+		// The lazy open must cost less than downloading the segment.
+		if ms, ok := bk.st.(*MemStore); ok {
+			if read := ms.Counters().BytesRead; read >= m.Segments[0].Size {
+				t.Errorf("lazy open read %d bytes of a %d-byte segment", read, m.Segments[0].Size)
+			}
+		}
 		if len(snap.Segments) != 1 || !snap.Segments[0].IsLazy() {
 			t.Fatalf("%s: snapshot = %d segments, lazy=%v", bk.name, len(snap.Segments), snap.Segments[0].IsLazy())
 		}
 		for _, strat := range strategies {
 			local := search.NewSearcher(seg, strat.opts())
 			remote := search.NewSearcher(snap.Segments[0], strat.opts())
-			for pass, label := range []string{"cold", "warm"} {
-				_ = pass
+			for _, label := range []string{"cold", "warm"} {
+				fetched := src.Stats().BytesFetched
 				for i, q := range queries {
 					pq := search.ParseQuery(local.Options().Analyzer, q.Text, q.Mode)
 					tag := fmt.Sprintf("%s/%s/%s/query %d %q mode %v", bk.name, strat.name, label, i, q.Text, q.Mode)
 					sameResults(t, tag, local.Search(pq), remote.Search(pq))
+				}
+				// The cache holds the whole working set, so a repeat
+				// pass never goes back to the store.
+				if got := src.Stats().BytesFetched - fetched; label == "warm" && got != 0 {
+					t.Errorf("%s/%s: warm pass fetched %d bytes, want 0", bk.name, strat.name, got)
 				}
 			}
 		}

@@ -14,8 +14,8 @@
 // Three Store implementations cover the deployment spectrum: DirStore
 // (a shared directory — NFS stand-in), HTTPStore against the blobd
 // object server (the S3-like path), and MemStore (an in-process fake
-// with injectable latency and faults, used by tests and the E25
-// cold-start experiment).
+// with injectable latency and faults, used by tests and the benchmark's
+// blob-cold workload).
 package blob
 
 import (

@@ -4,116 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"websearchbench/internal/index"
 	"websearchbench/internal/partition"
 	"websearchbench/internal/search"
 )
-
-// AblationMaxScoreResult contrasts pruned and exhaustive disjunctive
-// evaluation.
-type AblationMaxScoreResult struct {
-	ExhaustiveMean   time.Duration
-	MaxScoreMean     time.Duration
-	Speedup          float64
-	PostingsSavedPct float64
-}
-
-// AblationMaxScore measures what MaxScore pruning buys on the workload.
-func (c *Context) AblationMaxScore() AblationMaxScoreResult {
-	seg := c.Segment()
-	qs := c.Analyzed()
-	run := func(useMaxScore bool) (time.Duration, int64) {
-		s := search.NewSearcher(seg, search.Options{TopK: 10, UseMaxScore: useMaxScore})
-		var total time.Duration
-		var postings int64
-		for _, q := range qs {
-			start := time.Now()
-			r := s.Search(q)
-			total += time.Since(start)
-			postings += r.PostingsScanned
-		}
-		return total / time.Duration(max(1, len(qs))), postings
-	}
-	exMean, exPost := run(false)
-	msMean, msPost := run(true)
-	res := AblationMaxScoreResult{ExhaustiveMean: exMean, MaxScoreMean: msMean}
-	if msMean > 0 {
-		res.Speedup = float64(exMean) / float64(msMean)
-	}
-	if exPost > 0 {
-		res.PostingsSavedPct = 100 * (1 - float64(msPost)/float64(exPost))
-	}
-	c.section("ABL-1", "MaxScore pruning ablation")
-	w := c.table()
-	fmt.Fprintf(w, "exhaustive mean\t%s\n", ms(res.ExhaustiveMean))
-	fmt.Fprintf(w, "maxscore mean\t%s\n", ms(res.MaxScoreMean))
-	fmt.Fprintf(w, "speedup\t%.2fx\n", res.Speedup)
-	fmt.Fprintf(w, "postings saved\t%.1f%%\n", res.PostingsSavedPct)
-	w.Flush()
-	c.record("ABL-1", "exhaustive", "ns_per_query", float64(res.ExhaustiveMean))
-	c.record("ABL-1", "maxscore", "ns_per_query", float64(res.MaxScoreMean))
-	c.record("ABL-1", "maxscore", "speedup", res.Speedup)
-	c.record("ABL-1", "maxscore", "postings_saved_pct", res.PostingsSavedPct)
-	return res
-}
-
-// AblationCompressionResult contrasts posting encodings.
-type AblationCompressionResult struct {
-	VarintBytes int64
-	RawBytes    int64
-	Ratio       float64
-	VarintMean  time.Duration
-	RawMean     time.Duration
-}
-
-// AblationCompression measures the space/time trade-off of varint
-// compression.
-func (c *Context) AblationCompression() AblationCompressionResult {
-	rawSeg, err := index.BuildFromCorpus(c.CorpusCfg, index.WithCompression(index.CompressionRaw))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: raw index build failed: %v", err))
-	}
-	// The shared segment is packed (the default encoding); this ablation
-	// contrasts varint against raw specifically, so build varint here.
-	// ABL-8 covers the full raw/varint/packed comparison.
-	varSeg, err := index.BuildFromCorpus(c.CorpusCfg, index.WithCompression(index.CompressionVarint))
-	if err != nil {
-		panic(fmt.Sprintf("experiments: varint index build failed: %v", err))
-	}
-	qs := c.Analyzed()
-	run := func(seg *index.Segment) time.Duration {
-		s := search.NewSearcher(seg, search.Options{TopK: 10, UseMaxScore: false})
-		var total time.Duration
-		for _, q := range qs {
-			start := time.Now()
-			s.Search(q)
-			total += time.Since(start)
-		}
-		return total / time.Duration(max(1, len(qs)))
-	}
-	res := AblationCompressionResult{
-		VarintBytes: varSeg.PostingsBytes(),
-		RawBytes:    rawSeg.PostingsBytes(),
-		VarintMean:  run(varSeg),
-		RawMean:     run(rawSeg),
-	}
-	if res.VarintBytes > 0 {
-		res.Ratio = float64(res.RawBytes) / float64(res.VarintBytes)
-	}
-	c.section("ABL-2", "postings compression ablation")
-	w := c.table()
-	fmt.Fprintf(w, "varint bytes\t%d\n", res.VarintBytes)
-	fmt.Fprintf(w, "raw bytes\t%d\n", res.RawBytes)
-	fmt.Fprintf(w, "space ratio\t%.2fx\n", res.Ratio)
-	fmt.Fprintf(w, "varint mean search\t%s\n", ms(res.VarintMean))
-	fmt.Fprintf(w, "raw mean search\t%s\n", ms(res.RawMean))
-	w.Flush()
-	c.record("ABL-2", "varint", "postings_bytes", float64(res.VarintBytes))
-	c.record("ABL-2", "raw", "postings_bytes", float64(res.RawBytes))
-	c.record("ABL-2", "varint", "ns_per_query", float64(res.VarintMean))
-	c.record("ABL-2", "raw", "ns_per_query", float64(res.RawMean))
-	return res
-}
 
 // AblationAssignmentResult contrasts document-assignment policies.
 type AblationAssignmentResult struct {

@@ -1,8 +1,8 @@
 // Package experiments implements every reconstructed table and figure of
 // the paper (E1..E13 in DESIGN.md) plus the design-choice ablations. Each
 // experiment is a method on Context that returns a typed result and can
-// print itself; cmd/benchrunner runs them all and bench_test.go wraps each
-// in a testing.B benchmark.
+// print itself; the roster All (runall.go) lists them once, and
+// cmd/benchrunner and the root bench_test.go both iterate it.
 //
 // The pipeline is: build the synthetic corpus and index (E1), generate the
 // query workload (E2), measure real per-query service times on the Go

@@ -257,41 +257,8 @@ func TestE13Cluster(t *testing.T) {
 	}
 }
 
-func TestE14ResultCache(t *testing.T) {
-	c := smokeContext(t)
-	res := c.E14ResultCache()
-	if len(res.Rows) != 5 {
-		t.Fatal("wrong sweep length")
-	}
-	if res.Rows[0].CacheSize != 0 || res.Rows[0].HitRate != 0 {
-		t.Errorf("baseline row = %+v", res.Rows[0])
-	}
-	// Hit rate must grow with capacity on a Zipf stream, and a cache the
-	// size of the unique pool must hit on nearly every repeat.
-	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i].HitRate < res.Rows[i-1].HitRate {
-			t.Errorf("hit rate not monotone: %+v", res.Rows)
-		}
-	}
-	biggest := res.Rows[len(res.Rows)-1]
-	if biggest.HitRate < 0.3 {
-		t.Errorf("large cache hit rate = %v, want substantial", biggest.HitRate)
-	}
-	if biggest.Speedup <= 1 {
-		t.Errorf("large cache speedup = %v, want > 1", biggest.Speedup)
-	}
-}
-
 func TestAblations(t *testing.T) {
 	c := smokeContext(t)
-	ms := c.AblationMaxScore()
-	if ms.PostingsSavedPct <= 0 {
-		t.Errorf("MaxScore saved no postings: %+v", ms)
-	}
-	comp := c.AblationCompression()
-	if comp.Ratio <= 1 {
-		t.Errorf("compression ratio = %v", comp.Ratio)
-	}
 	asg := c.AblationAssignment()
 	if asg.RangeImbalance <= asg.RoundRobinImbalance {
 		t.Errorf("range imbalance %v not above round-robin %v",
@@ -516,93 +483,40 @@ func TestE19LiveFaults(t *testing.T) {
 	}
 }
 
-func TestE24SharedExec(t *testing.T) {
-	c := smokeContext(t)
-	res := c.E24SharedExec()
-	if len(res.Prune) != 4 {
-		t.Fatalf("want 4 partition counts in the pruning sweep, got %d", len(res.Prune))
-	}
-	for _, r := range res.Prune {
-		// The acceptance invariant: the shared floor subsumes every local
-		// floor, so sharing can only skip postings, never add them.
-		if r.SharedPostings > r.IndepPostings {
-			t.Errorf("P=%d: shared pruning scanned MORE postings (%d vs %d)",
-				r.Parts, r.SharedPostings, r.IndepPostings)
+// TestRosterIDs checks the roster's IDs are unique and that each one
+// resolves, through the lookup benchrunner -only uses, to its own row.
+func TestRosterIDs(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range All {
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment ID %q", e.ID)
 		}
-		if r.Parts == 1 && r.SharedPostings != r.IndepPostings {
-			t.Errorf("P=1: sharing changed postings scanned (%d vs %d) with nothing to share with",
-				r.SharedPostings, r.IndepPostings)
+		seen[e.ID] = true
+		if got, ok := Lookup(e.ID); !ok || got.ID != e.ID {
+			t.Errorf("Lookup(%q) = %q, %v", e.ID, got.ID, ok)
 		}
 	}
-	if len(res.Live) != 2 {
-		t.Fatalf("want 2 live rows, got %d", len(res.Live))
-	}
-	for _, r := range res.Live {
-		if r.P50 <= 0 || r.QPS <= 0 || r.Segments <= 0 {
-			t.Errorf("implausible live row %+v", r)
+	for _, id := range []string{"", "nope", "E0", "e7"} {
+		if _, ok := Lookup(id); ok {
+			t.Errorf("Lookup(%q) succeeded", id)
 		}
 	}
 }
 
-func TestE25BlobServing(t *testing.T) {
-	c := smokeContext(t)
-	res := c.E25BlobServing()
-	if res.SegmentBytes <= 0 {
-		t.Fatalf("segment blob size = %d", res.SegmentBytes)
-	}
-	if len(res.ColdStart) != 2 {
-		t.Fatalf("cold-start rows = %d, want 2", len(res.ColdStart))
-	}
-	for _, r := range res.ColdStart {
-		if r.TTFQ <= 0 || r.BytesRead <= 0 {
-			t.Errorf("implausible cold-start row %+v", r)
-		}
-	}
-	// The lazy open's start-up path reads strictly less than a full
-	// segment download.
-	if res.ColdStart[0].BytesRead >= res.ColdStart[1].BytesRead {
-		t.Errorf("lazy open read %d bytes, full download %d — lazy should read less",
-			res.ColdStart[0].BytesRead, res.ColdStart[1].BytesRead)
-	}
-	if len(res.Cache) != 4 {
-		t.Fatalf("cache rows = %d, want 4", len(res.Cache))
-	}
-	for _, r := range res.Cache {
-		if r.ColdHitRate < 0 || r.ColdHitRate > 1 || r.WarmHitRate < 0 || r.WarmHitRate > 1 {
-			t.Errorf("hit rate out of range: %+v", r)
-		}
-		if r.ColdBytes <= 0 {
-			t.Errorf("cold pass fetched nothing: %+v", r)
-		}
-		if r.WarmHitRate < r.ColdHitRate {
-			t.Errorf("warm hit rate below cold: %+v", r)
-		}
-		if r.ColdP99 <= 0 || r.WarmP99 <= 0 {
-			t.Errorf("implausible tail latencies: %+v", r)
-		}
-	}
-	// The largest cache holds the whole working set: the warm pass must
-	// not touch the store at all.
-	last := res.Cache[len(res.Cache)-1]
-	if last.WarmBytes != 0 {
-		t.Errorf("warm pass with a %dMB cache fetched %d bytes, want 0", last.CacheMB, last.WarmBytes)
-	}
-}
-
-func TestRunAllSmoke(t *testing.T) {
+// TestAllExperimentsSmoke runs every roster row at smoke scale on one
+// shared context, as RunAll does, and checks each prints a section
+// header carrying its own ID — a row whose ID and method disagree fails.
+func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full RunAll in short mode")
+		t.Skip("full roster in short mode")
 	}
 	var buf bytes.Buffer
-	c := NewContext(&buf, 0.03)
-	names := c.RunAll()
-	if len(names) != 33 {
-		t.Errorf("ran %d experiments, want 33", len(names))
-	}
-	out := buf.String()
-	for _, want := range []string{"E1", "E7", "E10", "E19", "E20", "E22", "E23", "E24", "E25", "ABL-4", "ABL-7", "ABL-8", "completed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q", want)
+	c := NewContext(&buf, 0.05)
+	for _, e := range All {
+		buf.Reset()
+		e.Run(c)
+		if header := "=== " + e.ID + ": "; !strings.Contains(buf.String(), header) {
+			t.Errorf("%s: output has no %q section header", e.ID, header)
 		}
 	}
 }

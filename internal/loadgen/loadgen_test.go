@@ -191,6 +191,36 @@ func TestOpenLoopDropsWhenSaturated(t *testing.T) {
 	}
 }
 
+// TestOpenLoopChargesGeneratorLateness drives an instant backend at an
+// arrival rate the generator cannot sustain: the 100ns mean gap is far
+// below the cost of spawning a goroutine, so the generator falls steadily
+// behind its Poisson schedule. That backlog is latency a real client
+// would see, so it must show in the recorded percentiles; timing from the
+// send would report the backend's own (near-zero) service time.
+func TestOpenLoopChargesGeneratorLateness(t *testing.T) {
+	cfg := OpenLoopConfig{
+		RateQPS:        10e6,
+		Measure:        20 * time.Millisecond,
+		QoS:            DefaultQoS(),
+		Seed:           4,
+		MaxOutstanding: 1 << 20,
+	}
+	res, err := RunOpenLoop(cfg, testStream, &fakeBackend{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ~200k arrivals are due inside the window, and all of them are
+	// issued however late the generator runs.
+	if res.Completed < 100_000 {
+		t.Errorf("Completed = %d, want the ~200k scheduled arrivals", res.Completed)
+	}
+	// The median arrival is the ~100,000th; even at 120ns per send it is
+	// issued 2ms after it was due.
+	if res.Latency.P50 < 2*time.Millisecond {
+		t.Errorf("p50 = %v: generator lateness was not charged to latency", res.Latency.P50)
+	}
+}
+
 func TestBackendFunc(t *testing.T) {
 	called := false
 	f := BackendFunc(func(q workload.Query) error {

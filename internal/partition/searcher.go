@@ -145,7 +145,7 @@ func (s *Searcher) SetExecutor(e *exec.Executor) { s.pool = e }
 
 // SetSharedPruning toggles cross-view threshold sharing (default on).
 // Off, every view prunes against only its local top-k heap — kept for
-// the E24 shared-vs-independent comparison.
+// bench/'s shared-vs-independent ratio, partition.shared_saving.
 func (s *Searcher) SetSharedPruning(on bool) { s.shared = on }
 
 // SetCollectPartTimes toggles the per-view timing breakdown (PartTimes,

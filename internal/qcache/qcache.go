@@ -2,7 +2,7 @@
 // workload characterization shows web query streams are Zipf-popular —
 // the same queries recur constantly — which is exactly the property that
 // makes a small front-end result cache absorb a large share of traffic.
-// Experiment E14 quantifies that on this benchmark's workload.
+// The serve-cluster workload of bench/ measures it as qcache.hit_rate.
 //
 // Internally the cache is striped into up to maxShards independent
 // mutex-guarded LRU shards keyed by a hash of the query string, so

@@ -153,7 +153,8 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // Zipf-popular keys should achieve a high hit rate even with a small
-// cache — the phenomenon E14 measures end to end.
+// cache — the phenomenon the benchmark's qcache.hit_rate measures end
+// to end.
 func TestZipfWorkloadHitRate(t *testing.T) {
 	c := New[int](32)
 	rng := rand.New(rand.NewSource(1))

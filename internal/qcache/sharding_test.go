@@ -68,7 +68,7 @@ func TestShardedStatsAggregate(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalentHitRate: on the Zipf workload E14 models, the
+// TestShardedEquivalentHitRate: on a Zipf-popular key stream, the
 // sharded cache's hit rate stays within a few points of a single global
 // LRU of the same capacity — striping trades exact global recency for
 // lock spread, not for hit rate.
