@@ -154,9 +154,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// newSearcher builds the read path of a static or blob-served node.
+	// newSearcher builds the read path of a static or blob-served node,
+	// pruned like the facade's and the live views'.
 	newSearcher := func(idx *partition.Index) *partition.Searcher {
-		sr := partition.NewSearcher(idx, search.Options{TopK: *topK}, *parallel)
+		sr := partition.NewSearcher(idx, search.Options{TopK: *topK, UseMaxScore: true}, *parallel)
 		sr.SetSharedPruning(*sharedTh)
 		return sr
 	}

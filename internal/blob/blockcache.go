@@ -6,14 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// BlockCache is the searcher-side cache of posting blocks: the unit the
-// lazy segment reader fetches (one skipInterval-long block, or a whole
-// short list) is the unit cached here. The cache is byte-budgeted, not
-// entry-budgeted — block sizes vary by two orders of magnitude between
-// width-0 packed blocks and positional varint runs — and striped into
-// shards (same pattern as the query cache in internal/qcache) so that
-// concurrent query threads on different terms do not serialize on one
-// mutex.
+// BlockCache is the searcher-side cache of posting blocks: the unit of
+// residency is one skipInterval-long block (or a whole short list),
+// however many of them one ranged read brought in. The cache is
+// byte-budgeted, not entry-budgeted — block sizes vary by two orders of
+// magnitude between width-0 packed blocks and positional varint runs —
+// and striped into shards (same pattern as the query cache in
+// internal/qcache) so that concurrent query threads on different terms
+// do not serialize on one mutex.
 //
 // Keys embed the segment's content-addressed blob key, which is what
 // makes generation changes safe with no epoch bookkeeping: a republished
@@ -93,7 +93,9 @@ func (c *BlockCache) shard(k blockKey) *cacheShard {
 	return &c.shards[h%blockCacheShards]
 }
 
-// Get returns the cached block, or nil on a miss. The returned slice is
+// Get returns the cached block, or nil when it is not resident. It is a
+// probe and counts nothing: hits and misses are reported by the reader,
+// once per block a query needed (see needed). The returned slice is
 // shared — callers must not modify it (posting decoders only read).
 func (c *BlockCache) Get(seg string, term int32, block int) []byte {
 	k := blockKey{seg: seg, term: term, block: int32(block)}
@@ -105,11 +107,17 @@ func (c *BlockCache) Get(seg string, term int32, block int) []byte {
 	}
 	sh.mu.Unlock()
 	if !ok {
-		atomic.AddInt64(&c.misses, 1)
 		return nil
 	}
-	atomic.AddInt64(&c.hits, 1)
 	return el.Value.(*cacheEntry).data
+}
+
+// needed counts blocks a query needed: hits were resident when the
+// query first asked for them, misses had to be read. A query that reads
+// a block and then decodes it has needed it once, as a miss.
+func (c *BlockCache) needed(hits, misses int) {
+	atomic.AddInt64(&c.hits, int64(hits))
+	atomic.AddInt64(&c.misses, int64(misses))
 }
 
 // Put inserts a fetched block, evicting least-recently-used entries in

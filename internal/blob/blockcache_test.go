@@ -21,6 +21,11 @@ func TestBlockCacheHitMiss(t *testing.T) {
 	if c.Get("seg1", 7, 1) != nil || c.Get("seg1", 8, 0) != nil || c.Get("seg2", 7, 0) != nil {
 		t.Fatal("neighboring coordinates should miss")
 	}
+	// Get is a probe; hits and misses are what a reader reports.
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("probes counted %d hits, %d misses", st.Hits, st.Misses)
+	}
+	c.needed(1, 4)
 	st := c.Stats()
 	if st.Hits != 1 {
 		t.Errorf("Hits = %d, want 1", st.Hits)

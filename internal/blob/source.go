@@ -3,6 +3,7 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"websearchbench/internal/index"
@@ -11,30 +12,43 @@ import (
 // CachedSegmentSource opens manifests into lazily loaded segments. Per
 // segment it fetches the fixed footer and the metadata prefix (header,
 // doc store, dictionary with skip tables) eagerly — the parts every
-// query touches — and wires the segment's posting reads through the
-// shared BlockCache: a cache hit costs a map lookup, a miss becomes one
-// ranged read of exactly one posting block. The source is shared across
-// generations; because cache keys are content-addressed segment keys,
-// snapshots of different generations coexist in it without interfering.
+// query touches — and serves the segment's posting reads through the
+// shared BlockCache: a resident block costs a map lookup, and the
+// non-resident blocks a query asks for at once cost one ranged read per
+// contiguous run, all runs in flight together (see segReader). The
+// source is shared across generations; because cache keys are
+// content-addressed segment keys, snapshots of different generations
+// coexist in it without interfering.
 type CachedSegmentSource struct {
 	store Store
 	cache *BlockCache
-	// MaxAttempts bounds fetch attempts per block (>=1). Object-store
-	// reads fail transiently; a block fetch inside query evaluation has
-	// no caller to bubble an error to (a missing block degrades that one
-	// list to exhausted), so transient faults are retried here.
+	// MaxAttempts bounds read attempts per range (>=1). Object-store
+	// reads fail transiently, so a failed read is retried here; a posting
+	// read that fails every attempt makes the query Incomplete.
 	MaxAttempts int
 
-	retries  atomic.Int64
-	failures atomic.Int64
+	retries       atomic.Int64
+	failures      atomic.Int64
+	rangedReads   atomic.Int64
+	blocksFetched atomic.Int64
+
+	// open holds the segments of the snapshot opened last, by blob key.
+	// Keys are content hashes, so the next generation reuses the open
+	// segment of every key it keeps and reads only the new ones.
+	mu   sync.Mutex
+	open map[string]*index.Segment
 }
 
 // SourceStats counts fetch-path incidents, surfaced next to the cache
-// counters on /metrics.
+// counters on /metrics. RangedReads and BlocksFetched are the posting
+// reads that succeeded and the blocks they brought in; their ratio is
+// how far coalescing and read-ahead cut round trips.
 type SourceStats struct {
 	CacheStats
 	FetchRetries  int64 `json:"fetch_retries"`
 	FetchFailures int64 `json:"fetch_failures"`
+	RangedReads   int64 `json:"ranged_reads"`
+	BlocksFetched int64 `json:"blocks_fetched"`
 }
 
 // NewCachedSegmentSource returns a source reading from st through cache.
@@ -48,6 +62,8 @@ func (src *CachedSegmentSource) Stats() SourceStats {
 		CacheStats:    src.cache.Stats(),
 		FetchRetries:  src.retries.Load(),
 		FetchFailures: src.failures.Load(),
+		RangedReads:   src.rangedReads.Load(),
+		BlocksFetched: src.blocksFetched.Load(),
 	}
 }
 
@@ -65,25 +81,35 @@ type Snapshot struct {
 	Tombs    [][]byte
 }
 
-// Open materializes a manifest into a snapshot: per segment, two eager
-// reads (footer, then metadata prefix) and no posting bytes at all.
+// Open materializes a manifest into a snapshot: per segment not already
+// open, two eager reads (footer, then metadata prefix) and no posting
+// bytes at all.
 func (src *CachedSegmentSource) Open(m Manifest) (*Snapshot, error) {
+	src.mu.Lock()
+	prev := src.open
+	src.mu.Unlock()
+	open := make(map[string]*index.Segment, len(m.Segments))
 	snap := &Snapshot{Manifest: m}
 	for _, ref := range m.Segments {
-		seg, err := src.openSegment(ref)
-		if err != nil {
-			return nil, fmt.Errorf("blob: open segment %d (%s): %w", ref.ID, ref.Key, err)
+		seg, err := prev[ref.Key], error(nil)
+		if seg == nil {
+			if seg, err = src.openSegment(ref); err != nil {
+				return nil, fmt.Errorf("blob: open segment %d (%s): %w", ref.ID, ref.Key, err)
+			}
 		}
+		open[ref.Key] = seg
 		var tomb []byte
 		if ref.TombKey != "" {
-			tomb, err = src.store.Get(ref.TombKey)
-			if err != nil {
+			if tomb, err = src.store.Get(ref.TombKey); err != nil {
 				return nil, fmt.Errorf("blob: open tombstones for segment %d: %w", ref.ID, err)
 			}
 		}
 		snap.Segments = append(snap.Segments, seg)
 		snap.Tombs = append(snap.Tombs, tomb)
 	}
+	src.mu.Lock()
+	src.open = open
+	src.mu.Unlock()
 	return snap, nil
 }
 
@@ -120,47 +146,101 @@ func (src *CachedSegmentSource) openSegment(ref SegmentRef) (*index.Segment, err
 	if err != nil {
 		return nil, err
 	}
-	return index.OpenLazySegment(meta, src.fetcher(ref.Key, layout.PostOff))
+	return index.OpenLazySegment(meta, &segReader{src: src, key: ref.Key, postOff: layout.PostOff})
 }
 
-// fetcher returns the BlockFetcher for one segment: cache first, then a
-// retried ranged read. off is relative to the postings section; postOff
-// rebases it to the file.
-func (src *CachedSegmentSource) fetcher(key string, postOff int64) index.BlockFetcher {
-	return func(term int32, block int, off, n int64) ([]byte, error) {
-		if data := src.cache.Get(key, term, block); int64(len(data)) == n {
-			return data, nil
+// maxInflightReads bounds the ranged reads one ReadRuns call keeps in
+// flight: the number of runs follows the number of query terms, which
+// is outside input.
+const maxInflightReads = 16
+
+// segReader is one segment's index.BlockReader: the shared cache in
+// front of ranged reads of the segment's blob.
+type segReader struct {
+	src     *CachedSegmentSource
+	key     string
+	postOff int64 // file offset of the postings section
+}
+
+func (r *segReader) Cached(term int32, block int) []byte {
+	return r.src.cache.Get(r.key, term, block)
+}
+
+func (r *segReader) Needed(hits, misses int) { r.src.cache.needed(hits, misses) }
+
+// ReadRuns reads each run with one GetRange, up to maxInflightReads at
+// a time with the caller as one of the readers, then splits the bytes
+// into per-block cache entries. A first attempt that fails is retried
+// after the round and one run at a time, so a store in trouble is not
+// also the target of a concurrent retry storm. A run that fails every
+// attempt caches nothing.
+func (r *segReader) ReadRuns(runs []index.BlockRun) {
+	src := r.src
+	bufs := make([][]byte, len(runs))
+	var next atomic.Int64
+	read := func() {
+		for i := next.Add(1) - 1; i < int64(len(runs)); i = next.Add(1) - 1 {
+			bufs[i], runs[i].Err = src.store.GetRange(r.key, r.postOff+runs[i].Off, runs[i].Bytes())
 		}
-		data, err := src.getRetry(key, postOff+off, n)
-		if err != nil {
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < min(len(runs), maxInflightReads); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			read()
+		}()
+	}
+	read()
+	wg.Wait()
+
+	for i := range runs {
+		run, n := &runs[i], runs[i].Bytes()
+		if run.Err != nil {
+			bufs[i], run.Err = src.retry(run.Err, r.key, r.postOff+run.Off, n)
+		}
+		if run.Err == nil && int64(len(bufs[i])) != n {
+			run.Err = fmt.Errorf("blob: read %d bytes of %s, want %d", len(bufs[i]), r.key, n)
+		}
+		if run.Err != nil {
 			src.failures.Add(1)
-			return nil, err
+			continue
 		}
-		src.cache.Put(key, term, block, data)
-		return data, nil
+		src.rangedReads.Add(1)
+		src.blocksFetched.Add(int64(len(run.Sizes)))
+		buf := bufs[i]
+		for j, sz := range run.Sizes {
+			blk := buf[:sz:sz]
+			buf = buf[sz:]
+			if len(run.Sizes) > 1 {
+				// The cache accounts and evicts per entry, so an entry must
+				// not keep the whole run's buffer alive.
+				blk = append([]byte(nil), blk...)
+			}
+			run.Blocks[j] = blk
+			src.cache.Put(r.key, run.Term, run.First+j, blk)
+		}
 	}
 }
 
-// getRetry is GetRange with up to MaxAttempts attempts. Not-found is
-// terminal (retrying cannot conjure the object); other errors are
-// treated as transient.
+// getRetry is GetRange with up to MaxAttempts attempts.
 func (src *CachedSegmentSource) getRetry(key string, off, n int64) ([]byte, error) {
-	attempts := src.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	data, err := src.store.GetRange(key, off, n)
+	if err != nil {
+		return src.retry(err, key, off, n)
 	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		if i > 0 {
-			src.retries.Add(1)
-		}
+	return data, nil
+}
+
+// retry re-reads a range whose first attempt failed with err, up to
+// MaxAttempts attempts in all. Not-found is terminal (retrying cannot
+// conjure the object); other errors are treated as transient.
+func (src *CachedSegmentSource) retry(err error, key string, off, n int64) ([]byte, error) {
+	for i := 1; i < src.MaxAttempts && !errors.Is(err, ErrNotFound); i++ {
+		src.retries.Add(1)
 		var data []byte
-		data, err = src.store.GetRange(key, off, n)
-		if err == nil {
+		if data, err = src.store.GetRange(key, off, n); err == nil {
 			return data, nil
-		}
-		if errors.Is(err, ErrNotFound) {
-			return nil, err
 		}
 	}
 	return nil, err

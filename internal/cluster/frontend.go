@@ -378,6 +378,7 @@ func (f *Frontend) SearchContext(ctx context.Context, req SearchRequest) (Search
 			continue
 		}
 		merged.NodesAnswered++
+		merged.Degraded = merged.Degraded || results[s].resp.Degraded
 		merged.Hits = append(merged.Hits, results[s].resp.Hits...)
 		merged.Matches += results[s].resp.Matches
 		if results[s].resp.TookMicros > maxTook {
@@ -387,7 +388,7 @@ func (f *Frontend) SearchContext(ctx context.Context, req SearchRequest) (Search
 	if merged.NodesAnswered == 0 {
 		return SearchResponse{}, errors.Join(errs...)
 	}
-	merged.Degraded = merged.NodesAnswered < len(f.groups)
+	merged.Degraded = merged.Degraded || merged.NodesAnswered < len(f.groups)
 	sort.SliceStable(merged.Hits, func(i, j int) bool {
 		if merged.Hits[i].Score != merged.Hits[j].Score {
 			return merged.Hits[i].Score > merged.Hits[j].Score

@@ -153,6 +153,7 @@ func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
 			Matches:    sc.Matches,
 			TookMicros: took.Microseconds(),
 			Node:       n.name,
+			Degraded:   sc.Incomplete,
 		}
 		for _, h := range sc.Hits {
 			doc := sr.Doc(h.Doc)

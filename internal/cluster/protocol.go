@@ -72,9 +72,11 @@ type SearchResponse struct {
 	// response (0 on single-node responses). A shard counts once no
 	// matter how many of its replicas were raced or retried.
 	NodesAnswered int `json:"nodesAnswered,omitempty"`
-	// Degraded marks a partial merge: at least one shard failed on every
-	// replica or was skipped by its circuit breakers, so Hits may be
-	// incomplete. Degraded responses are never cached by the front-end.
+	// Degraded marks an answer that may miss hits: on a front-end
+	// response, at least one shard failed on every replica, was skipped
+	// by its circuit breakers or itself answered degraded; on a node
+	// response, a posting-block read from the blob store failed after
+	// its retries. Degraded responses are never cached by the front-end.
 	Degraded bool `json:"degraded,omitempty"`
 }
 

@@ -41,7 +41,7 @@ type Segment struct {
 	// pruning fall back to plain MaxScore.
 	blockMaxes [][]float32
 	// lazy is non-nil on segments opened via OpenLazySegment: postings is
-	// empty and posting bytes are demand-loaded through lazy.fetch.
+	// empty and posting bytes are read through lazy.src.
 	lazy *lazyPostings
 }
 
@@ -121,7 +121,11 @@ func (s *Segment) Postings(term string) (PostingsIterator, bool) {
 	return s.PostingsByID(id), true
 }
 
-// PostingsByID returns an iterator for a dictionary term ID.
+// PostingsByID returns an iterator for a dictionary term ID. On a lazy
+// segment the iterator is a LazyQuery of its own, which suits tools and
+// tests: a failed read ends the list early and shows only in the
+// reader's failure count. Query evaluation shares one LazyQuery per
+// query and reports Incomplete.
 func (s *Segment) PostingsByID(id int32) PostingsIterator {
 	if s.lazy != nil {
 		return s.lazyIterator(id, true)

@@ -338,16 +338,46 @@ func readSegmentV05(rd *reader) (*Segment, error) {
 	return s, nil
 }
 
-// BlockFetcher supplies encoded posting bytes to a lazily opened
-// segment. off and n select a byte range within the segment's postings
-// section (the caller adds the file-level postings offset); term and
-// block identify the range for caching. Implementations must return
-// exactly n bytes or an error.
-type BlockFetcher func(term int32, block int, off, n int64) ([]byte, error)
+// BlockReader is how a lazily opened segment reads its posting blocks:
+// a block cache in front of ranged reads of the segment's postings
+// section. internal/blob implements it over a BlockCache and a Store.
+type BlockReader interface {
+	// Cached returns the resident bytes of one block of a term's list,
+	// or nil. It is a probe, not a lookup a query is charged for.
+	Cached(term int32, block int) []byte
+	// ReadRuns reads every run with one ranged read, all runs
+	// concurrently, stores each block's bytes in the run's Blocks and
+	// makes them resident. A run whose read fails gets Err set and
+	// leaves Blocks alone.
+	ReadRuns(runs []BlockRun)
+	// Needed records blocks a query needed, by whether they were
+	// resident when it first asked for them (hits) or not (misses).
+	Needed(hits, misses int)
+}
+
+// BlockRun is a run of consecutive blocks of one term's posting list,
+// contiguous in the file and read with one ranged read.
+type BlockRun struct {
+	Term  int32
+	First int   // index of the run's first block within the list
+	Off   int64 // start of the run within the postings section
+	Sizes []int // byte length of each block of the run
+	// Blocks receives the bytes of each block (len(Sizes) entries).
+	Blocks [][]byte
+	Err    error
+}
+
+// Bytes returns the length of the run's byte range.
+func (r *BlockRun) Bytes() (n int64) {
+	for _, sz := range r.Sizes {
+		n += int64(sz)
+	}
+	return n
+}
 
 // lazyPostings is the demand-load state of a remotely opened segment.
 type lazyPostings struct {
-	fetch BlockFetcher
+	src BlockReader
 	// offs[i] is term i's posting-list start within the postings
 	// section; offs[len] is the section's total length.
 	offs []int64
@@ -355,15 +385,15 @@ type lazyPostings struct {
 
 // OpenLazySegment opens a v05 segment from its metadata prefix — the
 // file bytes [0, layout.PostOff), i.e. header, doc and dict sections —
-// without its postings. Posting blocks are pulled through fetch on
-// demand: short lists (and raw-encoded ones) as a single unit, long
-// varint/packed lists one skip-aligned block at a time, which is what
-// makes a searcher over such a segment serve from a byte-budgeted block
-// cache instead of resident posting data. The returned segment supports
-// everything an in-memory segment does except re-serialization.
-func OpenLazySegment(meta []byte, fetch BlockFetcher) (*Segment, error) {
-	if fetch == nil {
-		return nil, fmt.Errorf("index: OpenLazySegment requires a fetcher")
+// without its postings. Posting blocks are read through src: short
+// lists (and raw-encoded ones) are a single block, long varint/packed
+// lists one block per skip interval, which is what makes a searcher
+// over such a segment serve from a byte-budgeted block cache instead of
+// resident posting data. The returned segment supports everything an
+// in-memory segment does except re-serialization.
+func OpenLazySegment(meta []byte, src BlockReader) (*Segment, error) {
+	if src == nil {
+		return nil, fmt.Errorf("index: OpenLazySegment requires a block reader")
 	}
 	rd := &reader{r: bufio.NewReader(newByteReader(meta))}
 	var magic [8]byte
@@ -380,7 +410,7 @@ func OpenLazySegment(meta []byte, fetch BlockFetcher) (*Segment, error) {
 	}
 	s := m.seg
 	s.skips = m.skips
-	lz := &lazyPostings{fetch: fetch, offs: make([]int64, len(m.plens)+1)}
+	lz := &lazyPostings{src: src, offs: make([]int64, len(m.plens)+1)}
 	for i, plen := range m.plens {
 		lz.offs[i+1] = lz.offs[i] + plen
 	}
@@ -388,52 +418,268 @@ func OpenLazySegment(meta []byte, fetch BlockFetcher) (*Segment, error) {
 	return s, nil
 }
 
-// lazyIterator builds an iterator over a demand-loaded posting list.
-// Lists without a skip table (short lists and raw encoding) are a
-// single block fetched up front; longer lists attach a window fetcher
-// that maps byte positions to skip-aligned blocks, so pruned evaluation
-// never pulls the blocks it skips.
-func (s *Segment) lazyIterator(id int32, withSkips bool) PostingsIterator {
+// IsLazy reports whether the segment reads posting blocks through a
+// BlockReader instead of holding them resident.
+func (s *Segment) IsLazy() bool { return s.lazy != nil }
+
+// LazyQuery is the fetch state of one query on one lazy segment. The
+// searcher takes every iterator of the query from it, calls Prefetch
+// once all terms are resolved, and asks Incomplete when it is done.
+// All reads of posting bytes — the per-query plan, a miss during
+// evaluation and its read-ahead, a positional list read whole — are the
+// same operation: plan the runs of non-resident blocks in a block
+// range, read them in one ReadRuns call. Blocks a query has read stay
+// held by it, so evaluation never depends on the cache keeping them.
+// A LazyQuery is used by one goroutine.
+type LazyQuery struct {
+	seg    *Segment
+	src    BlockReader
+	lists  []*lazyList
+	runs   []BlockRun // planned, not yet read
+	failed bool
+}
+
+// NewLazyQuery returns the fetch state for one query on a lazy segment.
+func (s *Segment) NewLazyQuery() *LazyQuery { return &LazyQuery{seg: s, src: s.lazy.src} }
+
+// lazyList is one posting list within a LazyQuery. Block b of the list
+// spans [table[b-1].pos, table[b].pos), block 0 starting at 0 and the
+// last block running to plen; a list without a skip table is one block.
+type lazyList struct {
+	q     *LazyQuery
+	id    int32
+	start int64 // list start within the postings section
+	plen  int64
+	table []skipEntry
+	held  [][]byte // held[b] is block b once this query has read it
+	// counted is the number of leading blocks already reported through
+	// Needed; iterators only move forward, so a block below it is never
+	// first asked for again.
+	counted int
+	// next is the block a sequential reader asks for next and ahead the
+	// number of blocks the next miss reads: doubled while misses arrive
+	// in sequence, back to one after a jump.
+	next, ahead int
+}
+
+// list returns the query's state for term id, shared by every iterator
+// the query opens on that term.
+func (q *LazyQuery) list(id int32) *lazyList {
+	for _, l := range q.lists {
+		if l.id == id {
+			return l
+		}
+	}
+	lz := q.seg.lazy
+	l := &lazyList{q: q, id: id, start: lz.offs[id], plen: lz.offs[id+1] - lz.offs[id], table: q.seg.skips[id], ahead: 1}
+	n := len(l.table) + 1
+	if l.plen == 0 || (len(l.table) > 0 && int64(l.table[len(l.table)-1].pos) == l.plen) {
+		n-- // nothing follows the last checkpoint
+	}
+	l.held = make([][]byte, n)
+	q.lists = append(q.lists, l)
+	return l
+}
+
+// Postings returns an iterator over term id's list whose blocks are
+// read through the query. Nothing is read here except a raw-encoded
+// list, which decodes from one resident buffer rather than a window.
+func (q *LazyQuery) Postings(id int32, withSkips bool) PostingsIterator {
+	s := q.seg
 	df := s.docFreqs[id]
 	it := PostingsIterator{comp: s.comp, count: df, initCount: df, doc: -1}
 	it.positional = s.positions
-	table := s.skips[id]
+	l := q.list(id)
 	if withSkips {
-		it.skips = table
+		it.skips = l.table
 		s.applyBlockMax(id, &it)
 	}
-	start := s.lazy.offs[id]
-	plen := s.lazy.offs[id+1] - start
-	fetch := s.lazy.fetch
-	if len(table) == 0 {
-		buf, err := fetch(id, 0, start, plen)
-		if err != nil || int64(len(buf)) != plen {
-			buf = nil // decodes as a truncated list: exhausted, never wrong bytes
+	if s.comp == CompressionRaw {
+		if len(l.held) > 0 {
+			it.buf = l.block(0)
 		}
-		it.buf = buf
-		it.win = buf
+		if it.buf == nil {
+			it.count = 0 // raw decoding indexes buf directly
+		}
+		it.win = it.buf
 		return it
 	}
-	it.fetch = func(pos int) ([]byte, int) {
-		b := blockForPos(table, pos)
-		lo := int64(0)
-		if b > 0 {
-			lo = int64(table[b-1].pos)
-		}
-		hi := plen
-		if b < len(table) {
-			hi = int64(table[b].pos)
-		}
-		if int64(pos) < lo || int64(pos) >= hi {
-			return nil, pos
-		}
-		data, err := fetch(id, b, start+lo, hi-lo)
-		if err != nil || int64(len(data)) != hi-lo {
-			return nil, pos
-		}
-		return data, int(lo)
-	}
+	it.fetch = l.window
 	return it
+}
+
+// Positions returns a positional iterator over term id's list, read
+// whole: phrase evaluation random-accesses it. A failed read yields an
+// exhausted iterator and an incomplete query.
+func (q *LazyQuery) Positions(id int32) PositionsIterator {
+	return newPositionsIterator(q.listBytes(id), q.seg.docFreqs[id])
+}
+
+// listBytes materializes term id's whole list, nil if a read failed.
+func (q *LazyQuery) listBytes(id int32) []byte {
+	l := q.list(id)
+	n := len(l.held)
+	hits, misses := l.plan(0, n, n)
+	q.read()
+	l.count(n, hits, misses)
+	if n == 1 {
+		return l.held[0]
+	}
+	var buf []byte
+	for _, blk := range l.held {
+		if blk == nil {
+			return nil
+		}
+		buf = append(buf, blk...)
+	}
+	return buf
+}
+
+// lazyIterator and lazyListBytes serve the segment's own Postings and
+// PositionsOf on a lazy segment, each call a LazyQuery of its own.
+func (s *Segment) lazyIterator(id int32, withSkips bool) PostingsIterator {
+	return s.NewLazyQuery().Postings(id, withSkips)
+}
+
+func (s *Segment) lazyListBytes(id int32) []byte { return s.NewLazyQuery().listBytes(id) }
+
+// Prefetch reads, in one concurrent round of ranged reads, what the
+// query's lists need first: every block when the evaluation strategy
+// consumes its lists whole, else each list's first block — a strategy
+// that may skip fetches the rest as it gets there.
+func (q *LazyQuery) Prefetch(whole bool) {
+	for _, l := range q.lists {
+		to := len(l.held)
+		if !whole && to > 1 {
+			to = 1
+		}
+		hits, misses := l.plan(0, to, to)
+		l.count(to, hits, misses)
+		l.next = to
+	}
+	q.read()
+}
+
+// Incomplete reports whether a read of this query failed after the
+// reader's retries, in which case some list ended early and the result
+// must not be presented as exact.
+func (q *LazyQuery) Incomplete() bool { return q.failed }
+
+// read issues the planned runs.
+func (q *LazyQuery) read() {
+	if len(q.runs) == 0 {
+		return
+	}
+	q.src.ReadRuns(q.runs)
+	for i := range q.runs {
+		if q.runs[i].Err != nil {
+			q.failed = true
+		}
+	}
+	q.runs = q.runs[:0]
+}
+
+// bounds returns block b's byte range within the list.
+func (l *lazyList) bounds(b int) (lo, hi int64) {
+	if b > 0 {
+		lo = int64(l.table[b-1].pos)
+	}
+	hi = l.plen
+	if b < len(l.table) {
+		hi = int64(l.table[b].pos)
+	}
+	return lo, hi
+}
+
+// plan appends to the query's runs the reads that bring in blocks
+// [from, to): every maximal stretch of blocks neither held nor resident
+// is one run. Of the leading blocks, those below hold, the resident
+// ones become held; hits and misses count these blocks by where they
+// were found. Resident blocks at or past hold only end a run: they are
+// read-ahead the query may never reach.
+func (l *lazyList) plan(from, to, hold int) (hits, misses int) {
+	q := l.q
+	open := false // the last run of q.runs ends at block b-1
+	for b := from; b < to; b++ {
+		if l.held[b] != nil {
+			open = false
+			continue
+		}
+		if data := q.src.Cached(l.id, b); data != nil {
+			open = false
+			if b < hold {
+				l.held[b] = data
+				hits++
+			}
+			continue
+		}
+		if b < hold {
+			misses++
+		}
+		lo, hi := l.bounds(b)
+		if !open {
+			q.runs = append(q.runs, BlockRun{Term: l.id, First: b, Off: l.start + lo})
+			open = true
+		}
+		run := &q.runs[len(q.runs)-1]
+		run.Sizes = append(run.Sizes, int(hi-lo))
+		run.Blocks = l.held[run.First : b+1]
+	}
+	return hits, misses
+}
+
+// count reports the blocks below to that have not been reported yet.
+func (l *lazyList) count(to, hits, misses int) {
+	if to > l.counted {
+		l.counted = to
+		l.q.src.Needed(hits, misses)
+	}
+}
+
+// block returns block b's bytes: what the query holds, else the
+// resident copy, else a read of b and the read-ahead behind it. nil
+// means the read failed.
+func (l *lazyList) block(b int) []byte {
+	hits, misses := 0, 1 // a block held but not yet counted came in as read-ahead
+	data := l.held[b]
+	if data == nil {
+		if data = l.q.src.Cached(l.id, b); data != nil {
+			l.held[b] = data
+			hits, misses = 1, 0
+		} else {
+			if b == l.next {
+				l.ahead *= 2
+			} else {
+				l.ahead = 1
+			}
+			l.plan(b, min(b+l.ahead, len(l.held)), b+1)
+			l.q.read()
+			data = l.held[b]
+		}
+	}
+	l.count(b+1, hits, misses)
+	l.next = b + 1
+	return data
+}
+
+// window is the iterator's fetch hook: the block containing byte
+// offset pos of the list and that block's offset. A failed read, or a
+// pos outside the list, yields an empty window, which every decode path
+// treats as the end of the list.
+func (l *lazyList) window(pos int) ([]byte, int) {
+	b := blockForPos(l.table, pos)
+	if b >= len(l.held) {
+		return nil, pos
+	}
+	lo, hi := l.bounds(b)
+	if int64(pos) < lo || int64(pos) >= hi {
+		return nil, pos
+	}
+	data := l.block(b)
+	if data == nil {
+		return nil, pos
+	}
+	return data, int(lo)
 }
 
 // blockForPos returns the index of the block whose byte range contains
@@ -451,43 +697,6 @@ func blockForPos(table []skipEntry, pos int) int {
 	}
 	return lo
 }
-
-// lazyListBytes materializes one full posting list of a lazy segment
-// (the positional-iterator path, which needs random access to the whole
-// list).
-func (s *Segment) lazyListBytes(id int32) []byte {
-	start := s.lazy.offs[id]
-	plen := s.lazy.offs[id+1] - start
-	table := s.skips[id]
-	if len(table) == 0 {
-		buf, err := s.lazy.fetch(id, 0, start, plen)
-		if err != nil || int64(len(buf)) != plen {
-			return nil
-		}
-		return buf
-	}
-	out := make([]byte, 0, plen)
-	lo := int64(0)
-	for b := 0; b <= len(table); b++ {
-		hi := plen
-		if b < len(table) {
-			hi = int64(table[b].pos)
-		}
-		if hi > lo {
-			data, err := s.lazy.fetch(id, b, start+lo, hi-lo)
-			if err != nil || int64(len(data)) != hi-lo {
-				return nil
-			}
-			out = append(out, data...)
-		}
-		lo = hi
-	}
-	return out
-}
-
-// IsLazy reports whether the segment demand-loads posting blocks
-// through a BlockFetcher instead of holding them resident.
-func (s *Segment) IsLazy() bool { return s.lazy != nil }
 
 // byteReader is a minimal io.Reader over a byte slice (bytes.Reader
 // without the import).

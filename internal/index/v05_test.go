@@ -3,7 +3,6 @@ package index
 import (
 	"bytes"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"websearchbench/internal/corpus"
@@ -95,28 +94,60 @@ func TestLegacyFormatsStillLoad(t *testing.T) {
 	}
 }
 
+// memReader is a BlockReader over an in-memory postings section: an
+// unbounded map for the cache, counters for what a test bounds, and an
+// optional error for every read.
+type memReader struct {
+	post         []byte
+	cache        map[[2]int32][]byte
+	reads        int // runs read
+	hits, misses int
+	failWith     error
+	// check, when set, sees every run before it is served.
+	check func(run BlockRun)
+}
+
+func (m *memReader) Cached(term int32, block int) []byte {
+	return m.cache[[2]int32{term, int32(block)}]
+}
+
+func (m *memReader) Needed(hits, misses int) { m.hits += hits; m.misses += misses }
+
+func (m *memReader) ReadRuns(runs []BlockRun) {
+	for i := range runs {
+		run := &runs[i]
+		if m.check != nil {
+			m.check(*run)
+		}
+		if m.failWith != nil {
+			run.Err = m.failWith
+			continue
+		}
+		m.reads++
+		off := run.Off
+		for j, sz := range run.Sizes {
+			blk := m.post[off : off+int64(sz) : off+int64(sz)]
+			off += int64(sz)
+			run.Blocks[j] = blk
+			m.cache[[2]int32{run.Term, int32(run.First + j)}] = blk
+		}
+	}
+}
+
 // lazyFromBytes opens a serialized v05 segment through the lazy path,
-// with a fetcher slicing the in-memory postings section. It returns the
-// segment and a fetch counter.
-func lazyFromBytes(t testing.TB, data []byte) (*Segment, *atomic.Int64) {
+// with a reader slicing the in-memory postings section.
+func lazyFromBytes(t testing.TB, data []byte) (*Segment, *memReader) {
 	t.Helper()
 	layout, err := ParseSegmentFooter(data[len(data)-SegmentFooterLen:])
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := data[layout.PostOff:]
-	var fetches atomic.Int64
-	seg, err := OpenLazySegment(data[:layout.PostOff], func(term int32, block int, off, n int64) ([]byte, error) {
-		fetches.Add(1)
-		if off < 0 || n < 0 || off+n > int64(len(post)) {
-			return nil, fmt.Errorf("fetch out of range: term %d block %d [%d,%d)", term, block, off, off+n)
-		}
-		return post[off : off+n], nil
-	})
+	rd := &memReader{post: data[layout.PostOff : layout.FileSize-SegmentFooterLen], cache: map[[2]int32][]byte{}}
+	seg, err := OpenLazySegment(data[:layout.PostOff], rd)
 	if err != nil {
 		t.Fatalf("OpenLazySegment: %v", err)
 	}
-	return seg, &fetches
+	return seg, rd
 }
 
 func TestLazySegmentEquivalence(t *testing.T) {
@@ -125,13 +156,13 @@ func TestLazySegmentEquivalence(t *testing.T) {
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	lazy, fetches := lazyFromBytes(t, buf.Bytes())
+	lazy, rd := lazyFromBytes(t, buf.Bytes())
 	if !lazy.IsLazy() {
 		t.Fatal("segment not marked lazy")
 	}
 	segmentsEquivalent(t, s, lazy)
-	if fetches.Load() == 0 {
-		t.Fatal("equivalence walk issued no block fetches")
+	if rd.reads == 0 {
+		t.Fatal("equivalence walk issued no block reads")
 	}
 	// Positions decode through the lazy whole-list path too.
 	term := s.Terms()[0]
@@ -166,36 +197,40 @@ func TestLazySegmentTinyAndEmpty(t *testing.T) {
 	}
 }
 
-// TestLazySegmentFetchFailure: a failing block fetch degrades that
-// posting list to exhausted — queries lose recall on that term but
-// never crash, which is the contract query evaluation needs (there is
-// no error path out of an iterator).
+// TestLazySegmentFetchFailure: a failing block read ends that posting
+// list early without a crash — there is no error path out of an
+// iterator — and marks the query it belongs to incomplete.
 func TestLazySegmentFetchFailure(t *testing.T) {
 	s := buildSkippy(t)
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	layout, err := ParseSegmentFooter(data[len(data)-SegmentFooterLen:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := OpenLazySegment(data[:layout.PostOff], func(term int32, block int, off, n int64) ([]byte, error) {
-		return nil, fmt.Errorf("store unreachable")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	lazy, rd := lazyFromBytes(t, buf.Bytes())
+	rd.failWith = fmt.Errorf("store unreachable")
 	for _, term := range s.Terms()[:min(20, len(s.Terms()))] {
-		it, ok := lazy.Postings(term)
+		ti, ok := lazy.Term(term)
 		if !ok {
 			t.Fatalf("term %q missing from lazy dictionary", term)
 		}
-		for it.Next() {
-			// Fully failed fetches should yield no postings at all, but any
-			// that do appear must at least not panic; just drain.
+		q := lazy.NewLazyQuery()
+		it := q.Postings(ti.ID, true)
+		q.Prefetch(false)
+		if it.Next() {
+			t.Fatalf("term %q: a posting decoded from a failed read", term)
 		}
+		if !q.Incomplete() {
+			t.Fatalf("term %q: failed read left the query complete", term)
+		}
+		if lazy.HasPositions() {
+			q = lazy.NewLazyQuery()
+			if pit := q.Positions(ti.ID); pit.Next() || !q.Incomplete() {
+				t.Fatalf("term %q: failed positional read not reported", term)
+			}
+		}
+	}
+	if len(rd.cache) != 0 {
+		t.Fatalf("%d blocks became resident from failed reads", len(rd.cache))
 	}
 }
 

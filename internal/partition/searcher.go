@@ -31,6 +31,9 @@ type Result struct {
 	TotalWork time.Duration
 	// MergeTime is the cost of combining the per-view top-k lists.
 	MergeTime time.Duration
+	// Incomplete is set when any view's result is: a blob-served
+	// segment lost a block read, so Hits may miss documents.
+	Incomplete bool
 }
 
 // View is one immutable member of a view set — an index segment behind
@@ -254,6 +257,7 @@ func (s *Searcher) SearchInto(q search.Query, k int, sc *Scratch) {
 		lists[i] = hits
 		res.Matches += sc.partRes[i].Matches
 		res.PostingsScanned += sc.partRes[i].PostingsScanned
+		res.Incomplete = res.Incomplete || sc.partRes[i].Incomplete
 	}
 	res.Hits = search.MergeTopKInto(res.Hits, lists, k)
 	res.MergeTime = time.Since(mergeStart)

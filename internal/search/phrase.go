@@ -76,11 +76,15 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 		res.Phases.Lookup = time.Since(lookupStart)
 		return
 	}
+	var lz *index.LazyQuery
+	if s.seg.IsLazy() {
+		lz = s.seg.NewLazyQuery()
+	}
 	phrases := make([]phraseScorer, 0, len(q.Phrases))
 	for _, terms := range q.Phrases {
 		p := phraseScorer{}
 		for _, term := range terms {
-			it, ok := s.seg.PositionsOf(term)
+			it, ok := s.positions(term, lz)
 			if !ok {
 				res.Phases.Lookup = time.Since(lookupStart)
 				return // a missing member empties the conjunction
@@ -98,7 +102,7 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 			continue
 		}
 		loose = append(loose, termScorer{
-			it:  s.postings(term, ti.ID),
+			it:  s.postings(term, ti.ID, lz),
 			idf: s.termIDF(term),
 		})
 	}
@@ -182,6 +186,22 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 	res.Hits = heap.appendSorted(res.Hits[:0])
 	putTopK(heap)
 	res.Phases.Merge = time.Since(mergeStart)
+	if lz != nil {
+		res.Incomplete = lz.Incomplete()
+	}
+}
+
+// positions returns the term's positional iterator; lz is the query's
+// fetch state on a lazy segment, else nil.
+func (s *Searcher) positions(term string, lz *index.LazyQuery) (index.PositionsIterator, bool) {
+	if lz == nil {
+		return s.seg.PositionsOf(term)
+	}
+	ti, ok := s.seg.Term(term)
+	if !ok {
+		return index.PositionsIterator{}, false
+	}
+	return lz.Positions(ti.ID), true
 }
 
 // termIDF returns the scoring IDF for a term, honoring global stats.

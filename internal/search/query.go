@@ -125,6 +125,11 @@ type Result struct {
 	// latency.
 	PostingsScanned int64
 	Phases          PhaseTimings
+	// Incomplete marks a result evaluated over a posting list that ended
+	// early because a block read from the blob store failed after its
+	// retries: Hits may miss documents, so the result must be reported
+	// as degraded and never cached.
+	Incomplete bool
 }
 
 // Reset clears the result for reuse, keeping the Hits backing array so
@@ -134,4 +139,5 @@ func (r *Result) Reset() {
 	r.Matches = 0
 	r.PostingsScanned = 0
 	r.Phases = PhaseTimings{}
+	r.Incomplete = false
 }

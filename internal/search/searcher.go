@@ -165,6 +165,13 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 	}
 
 	lookupStart := time.Now()
+	// A blob-served segment reads its posting blocks through one fetch
+	// state per query: iterators come from it, and once every term is
+	// resolved it reads what they need first in one concurrent round.
+	var lz *index.LazyQuery
+	if s.seg.IsLazy() {
+		lz = s.seg.NewLazyQuery()
+	}
 	sp := scorersPool.Get().(*[]termScorer)
 	scorers := (*sp)[:0]
 	release := func() {
@@ -190,10 +197,16 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 			ub = s.seg.BM25().MaxScore(idf)
 		}
 		scorers = append(scorers, termScorer{
-			it:  s.postings(term, ti.ID),
+			it:  s.postings(term, ti.ID, lz),
 			idf: idf,
 			ub:  ub,
 		})
+	}
+	pruned := s.opts.UseMaxScore && s.opts.QualityBoost == 0 && len(scorers) > 1
+	if lz != nil {
+		// searchOr consumes every list whole; the strategies that can skip
+		// start from first blocks and read on as they get there.
+		lz.Prefetch(q.Mode != ModeAnd && !pruned)
 	}
 	res.Phases.Lookup = time.Since(lookupStart)
 	if len(scorers) == 0 {
@@ -207,7 +220,7 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 	switch {
 	case q.Mode == ModeAnd:
 		s.searchAnd(scorers, heap, res, pc)
-	case s.opts.UseMaxScore && s.opts.QualityBoost == 0 && len(scorers) > 1:
+	case pruned:
 		if s.useBlockMax() {
 			s.searchBlockMax(scorers, heap, res, pc)
 		} else {
@@ -222,6 +235,9 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 	res.Hits = heap.appendSorted(res.Hits[:0])
 	putTopK(heap)
 	res.Phases.Merge = time.Since(mergeStart)
+	if lz != nil {
+		res.Incomplete = lz.Incomplete()
+	}
 	release()
 }
 
@@ -238,8 +254,11 @@ func (s *Searcher) useBlockMax() bool {
 }
 
 // postings returns the term's iterator, honoring the skip-list ablation
-// switch.
-func (s *Searcher) postings(term string, id int32) index.PostingsIterator {
+// switch. lz is the query's fetch state on a lazy segment, else nil.
+func (s *Searcher) postings(term string, id int32, lz *index.LazyQuery) index.PostingsIterator {
+	if lz != nil {
+		return lz.Postings(id, !s.opts.DisableSkips)
+	}
 	if s.opts.DisableSkips {
 		it, _ := s.seg.PostingsWithoutSkips(term)
 		return it

@@ -234,7 +234,7 @@ func (e *Engine) Search(query string) []Result {
 			Score:       h.Score,
 		})
 	}
-	if e.cache != nil {
+	if e.cache != nil && !sc.Incomplete {
 		e.cache.PutAt(gen, query, out)
 	}
 	return out
