@@ -42,7 +42,7 @@ func main() {
 		nq       = flag.Int("queries", 5000, "query stream length")
 		replay   = flag.String("replay", "", "timed trace file to replay (overrides open/closed modes)")
 		speedup  = flag.Float64("speedup", 1, "replay time scaling")
-		deadline = flag.Duration("deadline", 0, "per-query client deadline (0 = transport default)")
+		deadline = flag.Duration("deadline", 0, "per-query client deadline (0 = none)")
 	)
 	flag.Parse()
 

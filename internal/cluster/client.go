@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -20,6 +23,7 @@ import (
 // driver can distinguish full from partial answers.
 type Client struct {
 	base     string
+	search   postTarget
 	client   *http.Client
 	topK     int
 	deadline time.Duration
@@ -32,21 +36,25 @@ func NewClient(base string, topK int) *Client {
 		topK = 10
 	}
 	return &Client{
-		base: base,
-		client: &http.Client{
-			// Backstop only; SetDeadline governs per-query time.
-			Timeout: 30 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 256,
-			},
-		},
-		topK: topK,
+		base:   base,
+		search: newPostTarget(base + "/search"),
+		client: newHTTPClient(),
+		topK:   topK,
 	}
 }
 
+// newHTTPClient returns the keep-alive client both hops of the cluster
+// use. It sets no http.Client.Timeout: that would fork every request (a
+// header clone, a timer and a cancel context each) to enforce a bound the
+// caller's context already carries — the client's SetDeadline, the
+// front-end's resilience.Policy.Deadline.
+func newHTTPClient() *http.Client {
+	return &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 256}}
+}
+
 // SetDeadline sets a per-query deadline applied by Search/Do when the
-// caller supplies no tighter context. 0 (the default) falls back to the
-// transport's 30 s backstop.
+// caller supplies no tighter context. 0 (the default) applies none: a
+// call then waits as long as its context and the server allow.
 func (c *Client) SetDeadline(d time.Duration) { c.deadline = d }
 
 // DegradedCount returns how many degraded (partial-merge) responses this
@@ -64,28 +72,11 @@ func (c *Client) Search(query string, mode search.Mode) (SearchResponse, error) 
 // SearchContext issues one request under ctx and returns the parsed
 // response.
 func (c *Client) SearchContext(ctx context.Context, query string, mode search.Mode) (SearchResponse, error) {
-	req := SearchRequest{Query: query, Mode: mode.String(), TopK: c.topK}
-	body, err := json.Marshal(req)
+	var buf [128]byte
+	body := appendSearchRequest(buf[:0], &SearchRequest{Query: query, Mode: mode.String(), TopK: c.topK})
+	out, err := c.search.search(ctx, c.client, string(body))
 	if err != nil {
-		return SearchResponse{}, err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/search", bytes.NewReader(body))
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(hreq)
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return SearchResponse{}, fmt.Errorf("cluster: status %d: %s", resp.StatusCode, msg)
-	}
-	var out SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return SearchResponse{}, err
+		return SearchResponse{}, clientErr(err)
 	}
 	if out.Degraded {
 		c.degraded.Add(1)
@@ -99,7 +90,7 @@ func (c *Client) queryContext(parent context.Context) (context.Context, context.
 	if c.deadline > 0 {
 		return context.WithTimeout(parent, c.deadline)
 	}
-	return context.WithCancel(parent)
+	return parent, func() {}
 }
 
 // Do implements loadgen.Backend.
@@ -135,19 +126,34 @@ func (c *Client) mutate(ctx context.Context, path string, req any) (MutateRespon
 	if err != nil {
 		return MutateResponse{}, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	out, err := postMutation(ctx, c.client, c.base+path, body)
+	return out, clientErr(err)
+}
+
+// clientErr gives a bare status error the package prefix.
+func clientErr(err error) error {
+	var se *statusError
+	if errors.As(err, &se) {
+		return fmt.Errorf("cluster: %w", err)
+	}
+	return err
+}
+
+// postMutation posts one encoded /docs or /delete body to url and decodes
+// the acknowledgment. Mutations are the cold path and keep encoding/json.
+func postMutation(ctx context.Context, hc *http.Client, url string, body []byte) (MutateResponse, error) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return MutateResponse{}, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.client.Do(hreq)
+	resp, err := hc.Do(hreq)
 	if err != nil {
 		return MutateResponse{}, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return MutateResponse{}, fmt.Errorf("cluster: status %d: %s", resp.StatusCode, msg)
+	if err := checkStatus(resp); err != nil {
+		return MutateResponse{}, err
 	}
 	var out MutateResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
@@ -156,9 +162,102 @@ func (c *Client) mutate(ctx context.Context, path string, req any) (MutateRespon
 	return out, nil
 }
 
+// statusError is a non-200 response, kept typed so the front-end's retry
+// path can distinguish transient (502/503/504/429) from permanent
+// statuses.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return fmt.Sprintf("status %d: %s", e.code, e.msg) }
+
+// checkStatus turns a non-200 response into a statusError carrying the
+// start of its body.
+func checkStatus(resp *http.Response) error {
+	if resp.StatusCode == http.StatusOK {
+		return nil
+	}
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	return &statusError{code: resp.StatusCode, msg: string(msg)}
+}
+
+// postTarget is the invariant part of a POST to one /search URL — parsed
+// URL, method, headers — built once, so a call costs a shallow copy of
+// the template and not a URL parse and a header map.
+type postTarget struct {
+	proto *http.Request
+	err   error // why the URL did not parse; returned by every call
+}
+
+func newPostTarget(rawURL string) postTarget {
+	proto, err := http.NewRequest(http.MethodPost, rawURL, nil)
+	if err == nil {
+		proto.Header.Set("Content-Type", "application/json")
+		if u := proto.URL.User; u != nil {
+			pw, _ := u.Password()
+			proto.SetBasicAuth(u.Username(), pw) // http.Client.Do's doing, which search bypasses
+		}
+	}
+	return postTarget{proto: proto, err: err}
+}
+
+// stringBody is a request body over an immutable string. The transport
+// may still be reading a body after a canceled call has returned, so a
+// body must never live in a recycled buffer.
+type stringBody struct{ strings.Reader }
+
+func (*stringBody) Close() error { return nil }
+
+func newStringBody(s string) *stringBody {
+	b := new(stringBody)
+	b.Reset(s)
+	return b
+}
+
+// search posts one encoded SearchRequest under ctx and decodes the
+// answer. A non-200 status is a *statusError, a transport failure a
+// *url.Error. It hands the request to hc's transport itself: what
+// http.Client.Do adds is redirect handling, which a POST to /search never
+// needs and which clones the headers of every request in case it does.
+func (t postTarget) search(ctx context.Context, hc *http.Client, body string) (SearchResponse, error) {
+	if t.err != nil {
+		return SearchResponse{}, t.err
+	}
+	hreq := t.proto.WithContext(ctx) // shares the template's URL and headers, which nothing writes
+	hreq.Body = newStringBody(body)
+	hreq.ContentLength = int64(len(body))
+	hreq.GetBody = func() (io.ReadCloser, error) { return newStringBody(body), nil }
+	resp, err := hc.Transport.RoundTrip(hreq)
+	if err != nil {
+		return SearchResponse{}, &url.Error{Op: "Post", URL: t.proto.URL.Redacted(), Err: err}
+	}
+	defer resp.Body.Close()
+	if err := checkStatus(resp); err != nil {
+		return SearchResponse{}, err
+	}
+	sc := getScratch()
+	text, err := sc.readText(resp.Body, resp.ContentLength)
+	putScratch(sc)
+	if err != nil {
+		return SearchResponse{}, err
+	}
+	var out SearchResponse
+	if err := decodeSearchResponse(text, &out); err != nil {
+		return SearchResponse{}, err
+	}
+	return out, nil
+}
+
 // Stats fetches a node's index shape.
 func (c *Client) Stats() (StatsResponse, error) {
-	resp, err := c.client.Get(c.base + "/stats")
+	ctx, cancel := c.queryContext(context.Background())
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/stats", nil)
+	if err != nil {
+		return StatsResponse{}, err
+	}
+	resp, err := c.client.Do(hreq)
 	if err != nil {
 		return StatsResponse{}, err
 	}

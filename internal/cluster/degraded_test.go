@@ -70,6 +70,13 @@ func TestLostBlockReadIsDegraded(t *testing.T) {
 	if err != nil || !resp.Degraded {
 		t.Errorf("front-end over a degraded node: degraded=%v err=%v; want degraded", resp.Degraded, err)
 	}
+	// The HTTP path encodes what it stores; a degraded merge must reach
+	// the client flagged and must not be stored either.
+	for i := 0; i < 2; i++ {
+		if code, resp := postSearch(t, fe.Handler(), req); code != http.StatusOK || !resp.Degraded || resp.Node != "frontend" {
+			t.Errorf("front-end /search over a degraded node: status %d, node %q, degraded=%v; want 200 from the shards, degraded", code, resp.Node, resp.Degraded)
+		}
+	}
 	st.SetFault(nil)
 	if src.Stats().FetchFailures == 0 {
 		t.Error("no fetch failure was counted")

@@ -2,16 +2,17 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +22,7 @@ import (
 	"websearchbench/internal/cluster/resilience"
 	"websearchbench/internal/metrics"
 	"websearchbench/internal/qcache"
+	"websearchbench/internal/search"
 )
 
 // ErrCircuitOpen marks a shard sub-request skipped because every
@@ -48,12 +50,17 @@ const defaultDrainTimeout = 5 * time.Second
 // key-owning shard, so ingest follows the serving topology.
 type Frontend struct {
 	groups [][]string // shard -> replica base URLs
-	client *http.Client
-	topK   int
-	mux    *http.ServeMux
-	cache  *qcache.Generational[SearchResponse]
-	hist   metrics.ConcurrentHistogram
-	ring   *balance.Ring
+	// targets holds each replica's /search endpoint, aligned with groups.
+	targets [][]postTarget
+	client  *http.Client
+	topK    int
+	mux     *http.ServeMux
+	// cache maps cacheKey to a complete response's wire bytes, encoded
+	// once at insert the way a hit reports itself (node "frontend-cache",
+	// tookMicros 0), so serving a hit over HTTP is one Write.
+	cache *qcache.Generational[[]byte]
+	hist  metrics.ConcurrentHistogram
+	ring  *balance.Ring
 
 	// state bundles the policy with everything derived from it (health
 	// trackers, selectors, retry budget) so SetPolicy swaps are atomic
@@ -119,23 +126,22 @@ func NewReplicatedFrontend(groups [][]string, topK int) (*Frontend, error) {
 		topK = 10
 	}
 	copied := make([][]string, len(groups))
+	targets := make([][]postTarget, len(groups))
 	for i, g := range groups {
 		copied[i] = append([]string(nil), g...)
+		for _, u := range g {
+			targets[i] = append(targets[i], newPostTarget(u+"/search"))
+		}
 	}
 	f := &Frontend{
-		groups: copied,
-		client: &http.Client{
-			// Backstop only; the per-query deadline governs.
-			Timeout: 30 * time.Second,
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 256,
-			},
-		},
-		topK:  topK,
-		mux:   http.NewServeMux(),
-		ring:  balance.NewRing(len(groups), balance.DefaultVirtualNodes),
-		rng:   rand.New(rand.NewSource(rand.Int63())),
-		drain: defaultDrainTimeout,
+		groups:  copied,
+		targets: targets,
+		client:  newHTTPClient(),
+		topK:    topK,
+		mux:     http.NewServeMux(),
+		ring:    balance.NewRing(len(groups), balance.DefaultVirtualNodes),
+		rng:     rand.New(rand.NewSource(rand.Int63())),
+		drain:   defaultDrainTimeout,
 	}
 	f.state.Store(f.buildState(resilience.DefaultPolicy(), balance.RoundRobin))
 	f.mux.HandleFunc("POST /search", f.handleSearch)
@@ -224,7 +230,7 @@ func (f *Frontend) Handler() http.Handler { return f.mux }
 // lists; a write routed through the front-end bumps the generation,
 // making every cached result unreachable.
 func (f *Frontend) EnableCache(capacity int) {
-	f.cache = qcache.NewGenerational[SearchResponse](capacity)
+	f.cache = qcache.NewGenerational[[]byte](capacity)
 }
 
 // CacheHitRate reports the result cache's lifetime hit rate (0 when no
@@ -310,14 +316,20 @@ func (f *Frontend) balanceStats(st *feState) []ShardBalanceStats {
 	return out
 }
 
-// cacheKey identifies a request for caching.
-func cacheKey(req SearchRequest) string {
-	return fmt.Sprintf("%s\x00%s\x00%d", req.Mode, req.Query, req.TopK)
+// cacheKey identifies a request for caching by what it means, not how it
+// was spelled: the parsed mode, the effective top-k, the query text.
+func cacheKey(mode search.Mode, topK int, query string) string {
+	var buf [64]byte // room for most keys without a heap buffer
+	b := append(buf[:0], byte(mode))
+	b = strconv.AppendInt(b, int64(topK), 10)
+	b = append(b, 0)
+	b = append(b, query...)
+	return string(b)
 }
 
 // Search scatters req to all shards and merges the responses, with no
 // caller deadline beyond the policy's. It is the in-process API used by
-// local clients; HTTP traffic flows through SearchContext with the
+// local clients; HTTP traffic flows through handleSearch with the
 // request's context.
 func (f *Frontend) Search(req SearchRequest) (SearchResponse, error) {
 	return f.SearchContext(context.Background(), req)
@@ -327,22 +339,68 @@ func (f *Frontend) Search(req SearchRequest) (SearchResponse, error) {
 // honoring ctx and the policy's per-query deadline (whichever is
 // sooner). A partial merge — some shards failed or were breaker-skipped
 // on every replica — is returned with Degraded set; total failure
-// returns the join of every shard's error.
+// returns the join of every shard's error. The response is the caller's
+// own: it shares no memory with the result cache or with later answers.
 func (f *Frontend) SearchContext(ctx context.Context, req SearchRequest) (SearchResponse, error) {
 	if req.TopK <= 0 {
 		req.TopK = f.topK
 	}
-	if f.cache != nil {
-		if resp, ok := f.cache.Get(cacheKey(req)); ok {
-			resp.Node = "frontend-cache"
-			resp.TookMicros = 0
-			return resp, nil
-		}
-	}
-	body, err := json.Marshal(req)
+	mode, err := req.Validate()
 	if err != nil {
 		return SearchResponse{}, err
 	}
+	sc := getScratch()
+	defer putScratch(sc)
+	resp, wire, err := f.answer(ctx, mode, req, "", sc)
+	if err != nil {
+		return SearchResponse{}, err
+	}
+	if wire != nil {
+		err = decodeSearchResponse(string(wire), &resp)
+		return resp, err
+	}
+	resp.Hits = slices.Clone(resp.Hits)
+	return resp, nil
+}
+
+// answer resolves one validated request whose TopK is set. Either it is
+// in the result cache, and wire is the stored response, to be written or
+// decoded as it is; or the shards are asked, and resp is the merge, its
+// Hits in sc and valid until sc is released. body is req as it arrived
+// over HTTP, "" when it did not or cannot be forwarded as it is.
+func (f *Frontend) answer(ctx context.Context, mode search.Mode, req SearchRequest, body string, sc *wireScratch) (resp SearchResponse, wire []byte, err error) {
+	var key string
+	if f.cache != nil {
+		key = cacheKey(mode, req.TopK, req.Query)
+		if wire, ok := f.cache.Get(key); ok {
+			return SearchResponse{}, wire, nil
+		}
+	}
+	if body == "" {
+		body = string(appendSearchRequest(sc.buf[:0], &req))
+	}
+	resp, err = f.scatter(ctx, req.TopK, body, sc)
+	if err != nil || f.cache == nil || resp.Degraded {
+		return resp, nil, err
+	}
+	hit := resp
+	hit.Node, hit.TookMicros = "frontend-cache", 0
+	if sc.buf, err = appendSearchResponse(sc.buf[:0], &hit); err == nil {
+		f.cache.Put(key, bytes.Clone(sc.buf))
+	}
+	return resp, nil, nil
+}
+
+// shardResult is one shard's outcome in a scatter.
+type shardResult struct {
+	resp SearchResponse
+	err  error
+}
+
+// scatter sends the encoded request body to every shard — shard 0 on the
+// calling goroutine, the rest on their own — and merges the answers into
+// sc.hits: score descending, URL ascending, cut to topK.
+func (f *Frontend) scatter(ctx context.Context, topK int, body string, sc *wireScratch) (SearchResponse, error) {
 	st := f.state.Load()
 	if st.policy.Deadline > 0 {
 		var cancel context.CancelFunc
@@ -351,24 +409,22 @@ func (f *Frontend) SearchContext(ctx context.Context, req SearchRequest) (Search
 	}
 	f.queries.Add(1)
 
-	type shardResult struct {
-		resp SearchResponse
-		err  error
-	}
-	results := make([]shardResult, len(f.groups))
+	sc.shards = slices.Grow(sc.shards[:0], len(f.groups))[:len(f.groups)]
+	results := sc.shards
 	var wg sync.WaitGroup
-	for s := range f.groups {
+	for s := 1; s < len(results); s++ {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
 			results[s].resp, results[s].err = f.dispatchShard(ctx, st, s, body)
-		}(s)
+		}()
 	}
+	results[0].resp, results[0].err = f.dispatchShard(ctx, st, 0, body)
 	wg.Wait()
 
-	var merged SearchResponse
+	merged := SearchResponse{Node: "frontend"}
+	hits := sc.hits[:0]
 	var errs []error
-	var maxTook int64
 	for s := range results {
 		if results[s].err != nil {
 			// Degraded results: the benchmark front-end answers with
@@ -377,31 +433,26 @@ func (f *Frontend) SearchContext(ctx context.Context, req SearchRequest) (Search
 				s, strings.Join(f.groups[s], " "), results[s].err))
 			continue
 		}
+		r := &results[s].resp
 		merged.NodesAnswered++
-		merged.Degraded = merged.Degraded || results[s].resp.Degraded
-		merged.Hits = append(merged.Hits, results[s].resp.Hits...)
-		merged.Matches += results[s].resp.Matches
-		if results[s].resp.TookMicros > maxTook {
-			maxTook = results[s].resp.TookMicros
-		}
+		merged.Degraded = merged.Degraded || r.Degraded
+		hits = append(hits, r.Hits...)
+		merged.Matches += r.Matches
+		merged.TookMicros = max(merged.TookMicros, r.TookMicros)
 	}
+	sc.hits = hits
 	if merged.NodesAnswered == 0 {
 		return SearchResponse{}, errors.Join(errs...)
 	}
 	merged.Degraded = merged.Degraded || merged.NodesAnswered < len(f.groups)
-	sort.SliceStable(merged.Hits, func(i, j int) bool {
-		if merged.Hits[i].Score != merged.Hits[j].Score {
-			return merged.Hits[i].Score > merged.Hits[j].Score
+	slices.SortStableFunc(hits, func(a, b WireHit) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return merged.Hits[i].URL < merged.Hits[j].URL
+		return strings.Compare(a.URL, b.URL)
 	})
-	if len(merged.Hits) > req.TopK {
-		merged.Hits = merged.Hits[:req.TopK]
-	}
-	merged.TookMicros = maxTook
-	merged.Node = "frontend"
-	if f.cache != nil && !merged.Degraded {
-		f.cache.Put(cacheKey(req), merged)
+	if len(hits) > 0 { // a merge of nothing stays nil: "hits":null
+		merged.Hits = hits[:min(len(hits), topK)]
 	}
 	return merged, nil
 }
@@ -410,7 +461,7 @@ func (f *Frontend) SearchContext(ctx context.Context, req SearchRequest) (Search
 // selection, hedged attempt against a second replica, then budgeted
 // retries (moved to a different replica when one is eligible) with
 // jittered backoff for transient errors.
-func (f *Frontend) dispatchShard(ctx context.Context, st *feState, shard int, body []byte) (SearchResponse, error) {
+func (f *Frontend) dispatchShard(ctx context.Context, st *feState, shard int, body string) (SearchResponse, error) {
 	st.budget.Deposit()
 	var lastErr error
 	prev := -1
@@ -516,7 +567,7 @@ func (f *Frontend) backoffDelay(st *feState, attempt int) time.Duration {
 // one is admissible, so a sick machine cannot straggle its own hedge.
 // The first success wins; its latency feeds the serving replica's p95
 // tracker (and hence the adaptive hedge delay).
-func (f *Frontend) hedgedQuery(ctx context.Context, st *feState, shard, primary int, body []byte) (SearchResponse, error) {
+func (f *Frontend) hedgedQuery(ctx context.Context, st *feState, shard, primary int, body string) (SearchResponse, error) {
 	health := st.health[shard]
 	if !st.policy.HedgeEnabled {
 		start := time.Now()
@@ -594,23 +645,14 @@ func (f *Frontend) hedgedQuery(ctx context.Context, st *feState, shard, primary 
 // queryReplica sends one sub-request to a replica, bracketing it with
 // the shard selector's Start/Finish so load- and latency-aware policies
 // see the traffic they routed.
-func (f *Frontend) queryReplica(ctx context.Context, st *feState, shard, replica int, body []byte) (SearchResponse, error) {
+func (f *Frontend) queryReplica(ctx context.Context, st *feState, shard, replica int, body string) (SearchResponse, error) {
 	sel := st.selectors[shard]
 	sel.Start(replica)
 	start := time.Now()
-	resp, err := f.queryNode(ctx, f.groups[shard][replica], body)
+	resp, err := f.targets[shard][replica].search(ctx, f.client, body)
 	sel.Finish(replica, time.Since(start), err == nil)
 	return resp, err
 }
-
-// statusError is a non-200 node response, kept typed so the retry path
-// can distinguish transient (502/503/504/429) from permanent statuses.
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("status %d: %s", e.code, e.msg) }
 
 // transientErr reports whether an error is worth a retry: transport-level
 // failures and overload statuses are; context cancellation, client
@@ -630,28 +672,6 @@ func transientErr(err error) bool {
 	}
 	var ue *url.Error
 	return errors.As(err, &ue)
-}
-
-func (f *Frontend) queryNode(ctx context.Context, base string, body []byte) (SearchResponse, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/search", bytes.NewReader(body))
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(hreq)
-	if err != nil {
-		return SearchResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return SearchResponse{}, &statusError{code: resp.StatusCode, msg: string(msg)}
-	}
-	var out SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return SearchResponse{}, err
-	}
-	return out, nil
 }
 
 // AddDoc routes one document mutation through the consistent-hash ring
@@ -706,7 +726,7 @@ func (f *Frontend) fanoutWrite(ctx context.Context, path, key string, body []byt
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			results[r].resp, results[r].err = f.mutateReplica(ctx, group[r]+path, body)
+			results[r].resp, results[r].err = postMutation(ctx, f.client, group[r]+path, body)
 		}(r)
 	}
 	wg.Wait()
@@ -734,42 +754,22 @@ func (f *Frontend) fanoutWrite(ctx context.Context, path, key string, body []byt
 	return out, nil
 }
 
-// mutateReplica posts one mutation to a replica endpoint.
-func (f *Frontend) mutateReplica(ctx context.Context, url string, body []byte) (MutateResponse, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return MutateResponse{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(hreq)
-	if err != nil {
-		return MutateResponse{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return MutateResponse{}, &statusError{code: resp.StatusCode, msg: string(msg)}
-	}
-	var out MutateResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return MutateResponse{}, err
-	}
-	return out, nil
-}
-
-// handleSearch is the HTTP entry point.
+// handleSearch is the HTTP entry point. A cache hit is parse, probe and
+// one Write of the stored bytes; a miss forwards the request body as it
+// arrived when it names its own top-k.
 func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
-	}
-	if _, err := req.Validate(); err != nil {
+	sc := getScratch()
+	defer putScratch(sc)
+	req, mode, body, err := readSearchRequest(r, sc)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if req.TopK == 0 {
+		req.TopK, body = f.topK, ""
+	}
 	start := time.Now()
-	resp, err := f.SearchContext(r.Context(), req)
+	resp, wire, err := f.answer(r.Context(), mode, req, body, sc)
 	if err != nil {
 		if r.Context().Err() != nil {
 			// Client is gone; nothing useful to write.
@@ -778,8 +778,15 @@ func (f *Frontend) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
+	if wire == nil {
+		if sc.buf, err = appendSearchResponse(sc.buf[:0], &resp); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		wire = sc.buf
+	}
 	f.hist.Record(time.Since(start))
-	writeJSON(w, resp)
+	writeWire(w, wire)
 }
 
 // handleAddDoc is the HTTP entry point for ring-routed ingest.

@@ -120,13 +120,10 @@ func (n *Node) SetDrainTimeout(d time.Duration) { n.drain = d }
 // wins the race, the handler returns immediately instead of holding the
 // connection until the evaluation finishes.
 func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
-	var req SearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
-		return
-	}
-	mode, err := req.Validate()
+	sc := getScratch()
+	req, mode, _, err := readSearchRequest(r, sc)
 	if err != nil {
+		putScratch(sc)
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -136,39 +133,77 @@ func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx := r.Context()
 	if ctx.Err() != nil {
+		putScratch(sc)
 		return
 	}
-	done := make(chan SearchResponse, 1)
+	// The evaluation goroutine owns sc until it sends it back holding the
+	// encoded response.
+	done := make(chan error, 1)
 	go func() {
 		start := time.Now()
 		sr := n.acquire()
 		defer sr.Release()
-		sc := partition.GetScratch()
-		defer partition.PutScratch(sc)
-		sr.SearchInto(search.ParseQuery(sr.Analyzer(), req.Query, mode), k, sc)
+		psc := partition.GetScratch()
+		defer partition.PutScratch(psc)
+		sr.SearchInto(search.ParseQuery(sr.Analyzer(), req.Query, mode), k, psc)
 		took := time.Since(start)
 		n.hist.Record(took)
-		resp := SearchResponse{
-			Hits:       make([]WireHit, 0, len(sc.Hits)),
-			Matches:    sc.Matches,
+		if sc.hits = sc.hits[:0]; sc.hits == nil {
+			sc.hits = []WireHit{} // a node that matched nothing answers "hits":[]
+		}
+		for _, h := range psc.Hits {
+			doc := sr.Doc(h.Doc)
+			sc.hits = append(sc.hits, WireHit{URL: doc.URL, Title: doc.Title, Score: h.Score})
+		}
+		var err error
+		sc.buf, err = appendSearchResponse(sc.buf[:0], &SearchResponse{
+			Hits:       sc.hits,
+			Matches:    psc.Matches,
 			TookMicros: took.Microseconds(),
 			Node:       n.name,
-			Degraded:   sc.Incomplete,
-		}
-		for _, h := range sc.Hits {
-			doc := sr.Doc(h.Doc)
-			resp.Hits = append(resp.Hits, WireHit{URL: doc.URL, Title: doc.Title, Score: h.Score})
-		}
-		done <- resp
+			Degraded:   psc.Incomplete,
+		})
+		done <- err
 	}()
 	select {
-	case resp := <-done:
-		writeJSON(w, resp)
+	case err := <-done:
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		} else {
+			writeWire(w, sc.buf)
+		}
+		putScratch(sc)
 	case <-ctx.Done():
 		// Caller gave up (deadline, hedge win, or disconnect); the
 		// evaluation goroutine finishes into the buffered channel and
-		// its result is dropped.
+		// its result, sc with it, is dropped.
 	}
+}
+
+// readSearchRequest reads and validates the /search body of r, using sc's
+// buffer for the bytes. body is the text read; it and the request's
+// strings do not point into sc.
+func readSearchRequest(r *http.Request, sc *wireScratch) (req SearchRequest, mode search.Mode, body string, err error) {
+	if body, err = sc.readText(r.Body, r.ContentLength); err == nil {
+		err = decodeSearchRequest(body, &req)
+	}
+	if err != nil {
+		return req, 0, "", fmt.Errorf("bad request: %w", err)
+	}
+	mode, err = req.Validate()
+	return req, mode, body, err
+}
+
+// jsonContentType is the Content-Type header value of every response,
+// shared so that setting it does not allocate.
+var jsonContentType = []string{"application/json"}
+
+// writeWire sends an encoded /search response in one Write, which is what
+// lets a middleware see a whole response at once.
+func writeWire(w http.ResponseWriter, wire []byte) {
+	w.Header()["Content-Type"] = jsonContentType
+	// Headers are already out on an error; nothing to do but drop the conn.
+	_, _ = w.Write(wire)
 }
 
 // Live returns the node's live index (nil for read-only nodes).

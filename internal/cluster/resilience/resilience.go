@@ -14,12 +14,14 @@ import "time"
 // production-shaped defaults.
 type Policy struct {
 	// Deadline bounds one end-to-end query, scatter and merge included.
-	// 0 means no deadline beyond the transport's own timeout.
+	// 0 means no deadline beyond the caller's context: the transport
+	// sets no timeout of its own.
 	Deadline time.Duration
 
-	// HedgeEnabled turns on hedged sub-requests: when a node has not
-	// answered after the hedge delay, the same sub-request is re-issued
-	// to that node and the first response wins.
+	// HedgeEnabled turns on hedged sub-requests: when a replica has not
+	// answered after the hedge delay, the same sub-request is raced
+	// against it on a different replica of the shard (on the same one
+	// only when no other is admissible) and the first response wins.
 	HedgeEnabled bool
 	// HedgeAfter is a fixed hedge delay. 0 means adaptive: hedge after
 	// the node's tracked p95 latency.
