@@ -90,7 +90,6 @@ func main() {
 		meanLen  = flag.Int("meanlen", 250, "mean document length in terms")
 		seed     = flag.Int64("seed", 1, "corpus seed")
 		encoding = flag.String("encoding", "packed", "posting-list encoding: packed, varint or raw")
-		raw      = flag.Bool("raw", false, "use raw (uncompressed) postings (shorthand for -encoding raw)")
 		liveMode = flag.Bool("live", false, "build through the live-ingest path, then compact")
 		out      = flag.String("out", "index.seg", "output segment file")
 		publish  = flag.String("publish", "", "also publish the segment to this blob store (blobd URL or directory)")
@@ -110,9 +109,6 @@ func main() {
 	cfg.MeanBodyTerms = *meanLen
 	cfg.Seed = *seed
 
-	if *raw {
-		*encoding = "raw"
-	}
 	var opts []index.BuilderOption
 	switch *encoding {
 	case "packed": // the builder default

@@ -124,7 +124,8 @@ type E4Result struct {
 	ByTerms    []profilephase.BucketStat
 	ByPostings []profilephase.BucketStat
 	Fit        stats.LinearFit
-	Service    stats.Summary // seconds
+	Service    stats.Summary         // seconds
+	samples    []profilephase.Sample // one per query, in Analyzed order
 }
 
 // E4ServiceTimeAnatomy correlates service time with query properties.
@@ -151,6 +152,7 @@ func (c *Context) E4ServiceTimeAnatomy() E4Result {
 		ByPostings: a.ByPostings(6),
 		Fit:        fit,
 		Service:    stats.Summarize(secs),
+		samples:    a.Samples,
 	}
 	c.section("E4", "service-time anatomy")
 	fmt.Fprintf(c.Out, "service time by query length:\n")

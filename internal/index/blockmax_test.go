@@ -1,8 +1,6 @@
 package index
 
 import (
-	"bytes"
-	"io"
 	"reflect"
 	"testing"
 
@@ -103,8 +101,8 @@ func smallCorpusCfg() corpus.Config {
 	return cfg
 }
 
-// TestBlockMaxRoundTrip checks v03 serialization carries the block
-// metadata bit-exactly.
+// TestBlockMaxRoundTrip checks serialization carries the block metadata
+// bit-exactly.
 func TestBlockMaxRoundTrip(t *testing.T) {
 	s, err := BuildFromCorpus(smallCorpusCfg())
 	if err != nil {
@@ -120,82 +118,41 @@ func TestBlockMaxRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacySerializationCompat checks that a segment written in the
-// pre-block-max (v02) on-disk format still loads and searches — it just
-// carries no block metadata, which is the MaxScore fallback condition.
+// TestLegacySerializationCompat checks that a raw segment, the one
+// encoding without block-max metadata (the MaxScore fallback
+// condition), round-trips and still searches: its iterators have no
+// shallow cursor, but SkipTo lands exactly.
 func TestLegacySerializationCompat(t *testing.T) {
-	s, err := BuildFromCorpus(smallCorpusCfg(), WithCompression(CompressionVarint))
+	s, err := BuildFromCorpus(smallCorpusCfg(), WithCompression(CompressionRaw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := s.WriteToLegacy(&buf); err != nil {
-		t.Fatalf("WriteToLegacy: %v", err)
-	}
-	got, err := ReadSegment(&buf)
-	if err != nil {
-		t.Fatalf("ReadSegment(legacy): %v", err)
-	}
+	got := roundTrip(t, s)
 	segmentsEquivalent(t, s, got)
 	if got.HasBlockMax() {
-		t.Fatal("legacy segment claims block-max metadata")
+		t.Fatal("raw segment claims block-max metadata")
 	}
-	// Iterators degrade gracefully: no shallow cursor, skips still work.
 	ti, _ := got.Term(got.Terms()[0])
 	it := got.PostingsByID(ti.ID)
 	if it.NextShallow(0) {
-		t.Fatal("legacy iterator has a shallow cursor")
+		t.Fatal("raw iterator has a shallow cursor")
+	}
+	var docs []int32
+	for it.Next() {
+		docs = append(docs, it.Doc())
+	}
+	for _, d := range []int32{docs[0], docs[len(docs)/2], docs[len(docs)-1]} {
+		sk := got.PostingsByID(ti.ID)
+		if !sk.SkipTo(d) || sk.Doc() != d {
+			t.Fatalf("SkipTo(%d) landed on %d", d, sk.Doc())
+		}
 	}
 }
 
-// TestV03SerializationCompat checks the intermediate (v03) on-disk
-// format still loads with its block-max metadata intact, and that the
-// two things v04 changed are enforced: packed segments refuse to
-// downgrade, and a v03 file claiming packed compression is rejected.
-func TestV03SerializationCompat(t *testing.T) {
-	s, err := BuildFromCorpus(smallCorpusCfg(), WithCompression(CompressionVarint))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := s.WriteToV03(&buf); err != nil {
-		t.Fatalf("WriteToV03: %v", err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
-	got, err := ReadSegment(&buf)
-	if err != nil {
-		t.Fatalf("ReadSegment(v03): %v", err)
-	}
-	segmentsEquivalent(t, s, got)
-	if !got.HasBlockMax() {
-		t.Fatal("v03 segment lost block-max metadata")
-	}
-	if !reflect.DeepEqual(s.blockMaxes, got.blockMaxes) {
-		t.Fatal("v03 block maxima differ after round trip")
-	}
-
-	packed, err := BuildFromCorpus(smallCorpusCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := packed.WriteToV03(io.Discard); err == nil {
-		t.Fatal("packed segment serialized as v03")
-	}
-	if _, err := packed.WriteToLegacy(io.Discard); err == nil {
-		t.Fatal("packed segment serialized as v02")
-	}
-	// A v03 file with the packed compression byte is corrupt by
-	// definition: the code did not exist when v03 was current.
-	data[8] = byte(CompressionPacked)
-	if _, err := ReadSegment(bytes.NewReader(data)); err == nil {
-		t.Fatal("v03 segment with packed compression accepted")
-	}
-}
-
-// TestMergeMixedBlockMax merges a legacy-loaded segment (no block
-// metadata) with a freshly built one and checks the output's block
-// maxima are exactly those of a single-shot build over the same
-// documents — merge recomputes them, it does not stitch.
+// TestMergeMixedBlockMax merges a varint segment with a raw one (no block
+// metadata) and checks the output's block maxima are exactly those of a
+// single-shot build over the same documents — merge recomputes them, it
+// does not stitch.
 func TestMergeMixedBlockMax(t *testing.T) {
 	cfg := smallCorpusCfg()
 	gen, err := corpus.NewGenerator(cfg)
@@ -206,36 +163,26 @@ func TestMergeMixedBlockMax(t *testing.T) {
 	gen.GenerateFunc(func(d corpus.Document) { docs = append(docs, d) })
 	half := len(docs) / 2
 
-	// Varint throughout: the legacy (v02) write below cannot carry packed
-	// lists, and segmentsEquivalent requires matching encodings. The
+	// The output takes the first input's encoding, and segmentsEquivalent
+	// requires matching encodings, so the reference is varint too. The
 	// packed counterpart of this property lives in TestMergePackedMixedFormats.
-	build := func(ds []corpus.Document) *Segment {
-		b := NewBuilder(WithCompression(CompressionVarint))
+	build := func(ds []corpus.Document, comp Compression) *Segment {
+		b := NewBuilder(WithCompression(comp))
 		for _, d := range ds {
 			b.AddCorpusDoc(d)
 		}
 		return b.Finalize()
 	}
-	first, second := build(docs[:half]), build(docs[half:])
-
-	// Strip the first segment's metadata by a legacy round trip.
-	var buf bytes.Buffer
-	if _, err := first.WriteToLegacy(&buf); err != nil {
-		t.Fatal(err)
+	first, second := build(docs[:half], CompressionVarint), build(docs[half:], CompressionRaw)
+	if second.HasBlockMax() {
+		t.Fatal("raw input has block metadata")
 	}
-	legacy, err := ReadSegment(&buf)
+
+	merged, err := MergeSegments([]*Segment{first, second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.HasBlockMax() {
-		t.Fatal("legacy round trip kept block metadata")
-	}
-
-	merged, err := MergeSegments([]*Segment{legacy, second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := build(docs)
+	single := build(docs, CompressionVarint)
 	segmentsEquivalent(t, single, merged)
 	if !merged.HasBlockMax() {
 		t.Fatal("merged segment has no block-max metadata")

@@ -10,11 +10,9 @@ import (
 // offset by segment 0's count, and so on) and merging posting lists per
 // term. All segments must share positional setting and BM25 parameters;
 // mixed compressions are allowed — inputs are decoded through iterators
-// and re-encoded in the first segment's encoding, which is how segments
-// loaded from older on-disk formats (v02/v03 varint) are upgraded into a
-// packed index. Merging is how a multi-segment index is compacted after
-// incremental building, exactly as in the Lucene stack the benchmark
-// serves with.
+// and re-encoded in the first segment's encoding. Merging is how a
+// multi-segment index is compacted after incremental building, exactly
+// as in the Lucene stack the benchmark serves with.
 func MergeSegments(segs []*Segment) (*Segment, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("index: nothing to merge")
@@ -157,9 +155,8 @@ func MergeSegmentsFiltered(segs []*Segment, drop []func(int32) bool) (*Segment, 
 	out.buildSkips()
 	// Block maxima are recomputed from the merged postings rather than
 	// stitched from the inputs: merged blocks straddle input-segment
-	// boundaries, and inputs loaded from the legacy on-disk format carry
-	// no metadata at all — recomputation gives every merge output exact
-	// bounds either way.
+	// boundaries, and raw inputs carry no metadata at all — recomputation
+	// gives every merge output exact bounds either way.
 	out.computeBlockMaxes()
 	return out, remap, nil
 }

@@ -134,7 +134,7 @@ func TestMergeErrors(t *testing.T) {
 	if _, err := MergeSegments(nil); err == nil {
 		t.Error("empty merge accepted")
 	}
-	// Mixed compressions are legal since v04 (merge re-encodes through
+	// Mixed compressions are legal (merge re-encodes through
 	// iterators); the output takes the first segment's encoding.
 	varint := NewBuilder(WithCompression(CompressionVarint))
 	varint.AddDocument("t", "x", "u", 1)

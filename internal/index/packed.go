@@ -2,7 +2,7 @@ package index
 
 import "math/bits"
 
-// Packed posting lists (format v04): postings are grouped into blocks of
+// Packed posting lists: postings are grouped into blocks of
 // packedBlockLen entries, aligned with the skip/block-max interval, and
 // each full block is frame-of-reference bit-packed at the block's minimal
 // fixed bit-width. The final partial block (count % packedBlockLen

@@ -154,10 +154,9 @@ func TestMergePackedRepacksExactly(t *testing.T) {
 	}
 }
 
-// TestMergePackedMixedFormats merges a v04 packed segment with v02- and
-// v03-loaded varint segments — the format-upgrade path — and checks the
-// output is packed with postings and block maxima identical to a
-// single-shot packed build.
+// TestMergePackedMixedFormats merges a packed segment with varint and raw
+// ones and checks the output is packed with postings and block maxima
+// identical to a single-shot packed build.
 func TestMergePackedMixedFormats(t *testing.T) {
 	mk := func(lo, hi int, opts ...BuilderOption) *Segment {
 		b := NewBuilder(opts...)
@@ -170,29 +169,16 @@ func TestMergePackedMixedFormats(t *testing.T) {
 		}
 		return b.Finalize()
 	}
-	packed := mk(0, 300)
-	reload := func(s *Segment, write func(*Segment, *bytes.Buffer) error) *Segment {
-		var buf bytes.Buffer
-		if err := write(s, &buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadSegment(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	v02 := reload(mk(300, 600, WithCompression(CompressionVarint)),
-		func(s *Segment, b *bytes.Buffer) error { _, err := s.WriteToLegacy(b); return err })
-	v03 := reload(mk(600, 900, WithCompression(CompressionVarint)),
-		func(s *Segment, b *bytes.Buffer) error { _, err := s.WriteToV03(b); return err })
-
-	merged, err := MergeSegments([]*Segment{packed, v02, v03})
+	merged, err := MergeSegments([]*Segment{
+		mk(0, 300),
+		mk(300, 600, WithCompression(CompressionVarint)),
+		mk(600, 900, WithCompression(CompressionRaw)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if merged.Compression() != CompressionPacked {
-		t.Fatalf("mixed-format merge produced %v, want packed", merged.Compression())
+		t.Fatalf("mixed-encoding merge produced %v, want packed", merged.Compression())
 	}
 	single := mk(0, 900)
 	segmentsEquivalent(t, single, merged)

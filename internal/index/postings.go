@@ -10,7 +10,7 @@ type Compression uint8
 
 const (
 	// CompressionVarint stores (docID delta, freq) pairs as unsigned
-	// varints — the production encoding.
+	// varints — the encoding positional segments require.
 	CompressionVarint Compression = iota
 	// CompressionRaw stores fixed 4-byte little-endian docIDs and freqs,
 	// kept for the compression ablation study.
@@ -18,7 +18,7 @@ const (
 	// CompressionPacked stores postings in skipInterval-long blocks,
 	// frame-of-reference bit-packed at each block's minimal bit-width,
 	// with a varint tail for the final partial block (see packed.go).
-	// The production encoding since format v04.
+	// The default encoding.
 	CompressionPacked
 )
 

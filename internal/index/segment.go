@@ -33,11 +33,10 @@ type Segment struct {
 	docLens   []int32
 	totalLen  int64
 	docs      []StoredDoc
-	skips     [][]skipEntry // per-term skip tables (derived; serialized in v05)
+	skips     [][]skipEntry // per-term skip tables
 	// blockMaxes[id][j] is the maximum BM25 contribution within block j
 	// of term id's posting list (blocks of skipInterval postings, aligned
-	// with the skip table). Serialized with the segment (format v03);
-	// nil on raw segments and legacy-format loads, which makes Block-Max
+	// with the skip table). nil on raw segments, which makes Block-Max
 	// pruning fall back to plain MaxScore.
 	blockMaxes [][]float32
 	// lazy is non-nil on segments opened via OpenLazySegment: postings is

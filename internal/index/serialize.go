@@ -9,19 +9,6 @@ import (
 	"math"
 )
 
-// segmentMagic identifies the segment file format, with a version
-// suffix. v04 added the packed posting-list encoding; v03 added per-term
-// block-max metadata after each posting list; v02 files (no block
-// maxima) are still readable — they load with nil block metadata and
-// search via the plain MaxScore fallback. The byte layout is identical
-// across v03 and v04; the version only gates which compression codes are
-// legal, so older readers fail fast on files they cannot decode.
-var (
-	segmentMagic    = [8]byte{'W', 'S', 'B', 'I', 'D', 'X', '0', '4'}
-	segmentMagicV03 = [8]byte{'W', 'S', 'B', 'I', 'D', 'X', '0', '3'}
-	segmentMagicV02 = [8]byte{'W', 'S', 'B', 'I', 'D', 'X', '0', '2'}
-)
-
 // ErrBadFormat is returned when deserializing data that is not a segment
 // of the expected version.
 var ErrBadFormat = errors.New("index: not a segment file (bad magic or version)")
@@ -60,101 +47,6 @@ func (cw *countingWriter) uvarint(v uint64) {
 func (cw *countingWriter) str(s string) {
 	cw.uvarint(uint64(len(s)))
 	cw.write([]byte(s))
-}
-
-// WriteTo serializes the segment in the current (v05) sectioned format:
-// doc store, dictionary (skip tables included), and postings live in
-// separately addressable sections mapped by a fixed trailing footer, so
-// remote readers can open a segment without streaming the posting data.
-// It implements io.WriterTo.
-func (s *Segment) WriteTo(w io.Writer) (int64, error) {
-	return s.writeToV05(w)
-}
-
-// WriteToV04 serializes the segment in the previous (v04) interleaved
-// format — packed encoding but no section footer or serialized skip
-// tables. It exists for downgrade paths and for testing that v04 files
-// still load and search.
-func (s *Segment) WriteToV04(w io.Writer) (int64, error) {
-	return s.writeTo(w, 4)
-}
-
-// WriteToV03 serializes the segment in the previous (v03) on-disk format
-// — block-max metadata but no packed encoding. It exists for downgrade
-// paths and for testing that v03 files still load and search; packed
-// segments cannot be written this way.
-func (s *Segment) WriteToV03(w io.Writer) (int64, error) {
-	return s.writeTo(w, 3)
-}
-
-// WriteToLegacy serializes the segment in the oldest supported (v02)
-// on-disk format, which carries no block-max metadata and no packed
-// encoding. It exists for downgrade paths and for testing that legacy
-// segments still load and search.
-func (s *Segment) WriteToLegacy(w io.Writer) (int64, error) {
-	return s.writeTo(w, 2)
-}
-
-func (s *Segment) writeTo(w io.Writer, version int) (int64, error) {
-	if s.lazy != nil {
-		return 0, fmt.Errorf("index: cannot serialize a lazily-loaded segment")
-	}
-	if s.comp == CompressionPacked && version < 4 {
-		return 0, fmt.Errorf("index: packed segments require format v04, cannot write v%02d", version)
-	}
-	cw := &countingWriter{w: bufio.NewWriter(w)}
-	switch version {
-	case 2:
-		cw.write(segmentMagicV02[:])
-	case 3:
-		cw.write(segmentMagicV03[:])
-	default:
-		cw.write(segmentMagic[:])
-	}
-	cw.u8(uint8(s.comp))
-	flags := uint8(0)
-	if s.positions {
-		flags |= 1
-	}
-	cw.u8(flags)
-	cw.f64(s.bm25.K1)
-	cw.f64(s.bm25.B)
-	cw.u32(uint32(len(s.docLens)))
-	cw.u32(uint32(len(s.termList)))
-	cw.u64(uint64(s.totalLen))
-	for _, l := range s.docLens {
-		cw.uvarint(uint64(l))
-	}
-	for _, d := range s.docs {
-		cw.str(d.URL)
-		cw.str(d.Title)
-		cw.f32(d.Quality)
-		cw.str(d.Snippet)
-	}
-	for id, t := range s.termList {
-		cw.str(t)
-		cw.u32(uint32(s.docFreqs[id]))
-		cw.u64(uint64(s.collFreqs[id]))
-		cw.f32(s.maxScores[id])
-		cw.uvarint(uint64(len(s.postings[id])))
-		cw.write(s.postings[id])
-		if version >= 3 {
-			// Block-max metadata: block count then per-block bounds.
-			// Raw segments store none (count 0 for every term).
-			var blocks []float32
-			if s.blockMaxes != nil {
-				blocks = s.blockMaxes[id]
-			}
-			cw.uvarint(uint64(len(blocks)))
-			for _, m := range blocks {
-				cw.f32(m)
-			}
-		}
-	}
-	if cw.err == nil {
-		cw.err = cw.w.Flush()
-	}
-	return cw.n, cw.err
 }
 
 // reader wraps a bufio.Reader with sticky-error decoding helpers.
@@ -215,171 +107,6 @@ func (rd *reader) str() string {
 	b := make([]byte, n)
 	rd.read(b)
 	return string(b)
-}
-
-// ReadSegment deserializes a segment written by WriteTo. It accepts the
-// current v04 format as well as v03 and legacy v02 files; v02 segments
-// load without block-max metadata, so queries over them take the
-// MaxScore fallback, and only v04 files may use the packed encoding.
-func ReadSegment(r io.Reader) (*Segment, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	var magic [8]byte
-	rd.read(magic[:])
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	var version int
-	switch magic {
-	case segmentMagicV05:
-		return readSegmentV05(rd)
-	case segmentMagic:
-		version = 4
-	case segmentMagicV03:
-		version = 3
-	case segmentMagicV02:
-		version = 2
-	default:
-		return nil, ErrBadFormat
-	}
-	hasBlockMax := version >= 3
-	s := &Segment{}
-	s.comp = Compression(rd.u8())
-	switch s.comp {
-	case CompressionVarint, CompressionRaw:
-	case CompressionPacked:
-		if version < 4 {
-			return nil, fmt.Errorf("index: packed compression is invalid in a v%02d segment", version)
-		}
-	default:
-		return nil, fmt.Errorf("index: unknown compression %d", s.comp)
-	}
-	flags := rd.u8()
-	if flags&^uint8(1) != 0 {
-		return nil, fmt.Errorf("index: unknown flags %#x", flags)
-	}
-	s.positions = flags&1 != 0
-	if s.positions && s.comp != CompressionVarint {
-		// Positional postings interleave varint position deltas; no valid
-		// writer produces them under another encoding.
-		return nil, fmt.Errorf("index: positional segment with %v compression", s.comp)
-	}
-	s.bm25.K1 = rd.f64()
-	s.bm25.B = rd.f64()
-	numDocs := rd.u32()
-	numTerms := rd.u32()
-	s.totalLen = int64(rd.u64())
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	const maxCount = 1 << 28
-	if numDocs > maxCount || numTerms > maxCount {
-		return nil, fmt.Errorf("index: implausible counts docs=%d terms=%d", numDocs, numTerms)
-	}
-	// The declared counts are untrusted until that many entries actually
-	// decode, so slices grow by appending (with a bounded initial
-	// capacity) rather than pre-allocating count elements — a 100-byte
-	// file claiming 2^28 documents must fail on its missing bytes, not
-	// allocate gigabytes first. Each loop bails at the first decode error
-	// for the same reason.
-	const maxPrealloc = 1 << 16
-	prealloc := int(numDocs)
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
-	}
-	s.docLens = make([]int32, 0, prealloc)
-	for i := uint32(0); i < numDocs; i++ {
-		s.docLens = append(s.docLens, int32(rd.uvarint()))
-		if rd.err != nil {
-			return nil, fmt.Errorf("index: doc lengths: %w", rd.err)
-		}
-	}
-	s.docs = make([]StoredDoc, 0, prealloc)
-	for i := uint32(0); i < numDocs; i++ {
-		var d StoredDoc
-		d.URL = rd.str()
-		d.Title = rd.str()
-		d.Quality = rd.f32()
-		d.Snippet = rd.str()
-		if rd.err != nil {
-			return nil, fmt.Errorf("index: stored doc %d: %w", i, rd.err)
-		}
-		s.docs = append(s.docs, d)
-	}
-	prealloc = int(numTerms)
-	if prealloc > maxPrealloc {
-		prealloc = maxPrealloc
-	}
-	s.terms = make(map[string]int32, prealloc)
-	s.termList = make([]string, 0, prealloc)
-	s.postings = make([][]byte, 0, prealloc)
-	s.docFreqs = make([]int32, 0, prealloc)
-	s.collFreqs = make([]int64, 0, prealloc)
-	s.maxScores = make([]float32, 0, prealloc)
-	if hasBlockMax && s.comp != CompressionRaw {
-		s.blockMaxes = make([][]float32, 0, prealloc)
-	}
-	for id := uint32(0); id < numTerms; id++ {
-		t := rd.str()
-		df := int32(rd.u32())
-		cf := int64(rd.u64())
-		maxScore := rd.f32()
-		plen := rd.uvarint()
-		if rd.err != nil {
-			return nil, fmt.Errorf("index: term %d dictionary entry: %w", id, rd.err)
-		}
-		if df < 0 || uint32(df) > numDocs {
-			return nil, fmt.Errorf("index: term %q doc freq %d exceeds %d documents", t, df, numDocs)
-		}
-		if plen > maxStringLen*16 {
-			return nil, fmt.Errorf("index: posting list length %d exceeds limit", plen)
-		}
-		if s.comp == CompressionRaw && plen != uint64(df)*8 {
-			// Raw lists are fixed 8-byte records and are decoded without
-			// per-read bounds checks; a short list must be rejected here.
-			return nil, fmt.Errorf("index: term %q raw posting list is %d bytes, want %d", t, plen, df*8)
-		}
-		buf := make([]byte, plen)
-		rd.read(buf)
-		if rd.err != nil {
-			return nil, fmt.Errorf("index: term %q postings: %w", t, rd.err)
-		}
-		s.termList = append(s.termList, t)
-		s.terms[t] = int32(id)
-		s.docFreqs = append(s.docFreqs, df)
-		s.collFreqs = append(s.collFreqs, cf)
-		s.maxScores = append(s.maxScores, maxScore)
-		s.postings = append(s.postings, buf)
-		if hasBlockMax {
-			nBlocks := rd.uvarint()
-			if rd.err != nil {
-				return nil, rd.err
-			}
-			// Block structure is a pure function of the list length, so a
-			// mismatched count means corruption, not a format variant.
-			want := 0
-			if s.comp != CompressionRaw {
-				want = numBlocksFor(df)
-			}
-			if int(nBlocks) != want {
-				return nil, fmt.Errorf("index: term %q has %d block maxima, want %d", t, nBlocks, want)
-			}
-			var blocks []float32
-			for j := 0; j < want; j++ {
-				blocks = append(blocks, rd.f32())
-			}
-			if s.comp != CompressionRaw {
-				s.blockMaxes = append(s.blockMaxes, blocks)
-			}
-		}
-	}
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	if err := s.validatePostings(); err != nil {
-		return nil, err
-	}
-	s.buildSkips()
-	return s, nil
 }
 
 // validatePostings decodes every posting list once and rejects lists

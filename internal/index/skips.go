@@ -6,21 +6,20 @@ import "math"
 // offset, postings consumed) checkpoints so SkipTo can jump over runs of
 // postings instead of decoding them one by one — the structure that makes
 // conjunctive (leapfrog) evaluation sublinear, exactly as in the Lucene
-// index the benchmark serves with. Tables are built in memory when a
-// segment is finalized or loaded from formats v02–v04; format v05 also
-// serializes them (their byte positions double as the block boundaries
-// remote readers use for range fetches — see v05.go).
+// index the benchmark serves with. Tables are built when a segment is
+// finalized and serialized with it; their byte positions double as the
+// block boundaries remote readers use for range fetches (see v05.go), so
+// a whole-stream load rebuilds them and checks the two agree.
 //
 // Block-max metadata rides on the same block structure: each run of
 // skipInterval postings between checkpoints is a "block", and the segment
 // records the block's maximum BM25 contribution (quantized, rounded up so
 // it stays a true upper bound). Block-Max pruning consults these bounds
 // via NextShallow/BlockMax to rule out whole blocks without decoding a
-// single posting. Unlike the skip tables, block maxima ARE serialized
-// (formats v03+) — they are exactly the per-block impact scores Lucene
-// stores next to its skip data.
+// single posting. Block maxima are serialized too — they are exactly the
+// per-block impact scores Lucene stores next to its skip data.
 //
-// Packed posting lists (format v04) reuse this block structure directly:
+// Packed posting lists reuse this block structure directly:
 // packedBlockLen == skipInterval, so every bit-packed block is one skip
 // block and one block-max block.
 
@@ -181,9 +180,8 @@ func (s *Segment) applyBlockMax(id int32, it *PostingsIterator) {
 	}
 }
 
-// HasBlockMax reports whether the segment carries block-max metadata
-// (varint and packed segments built or merged by this version; absent on
-// raw segments and segments loaded from the legacy v02 on-disk format).
+// HasBlockMax reports whether the segment carries block-max metadata:
+// true for varint and packed segments, false for raw ones.
 func (s *Segment) HasBlockMax() bool { return s.blockMaxes != nil }
 
 // HasBlockMax reports whether per-block score bounds are available on

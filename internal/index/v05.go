@@ -2,14 +2,15 @@ package index
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 )
 
-// Format v05 restructures the segment file into independently
-// addressable sections so a remote reader can open a segment without
-// streaming the whole file:
+// A segment file is in format v05, the only version any code writes or
+// reads. It is laid out in independently addressable sections so a
+// remote reader can open a segment without streaming the whole file:
 //
 //	[header]   magic "WSBIDX05", compression, flags, BM25 params, counts
 //	[docs]     document lengths and stored fields
@@ -26,13 +27,12 @@ import (
 // that possible: their byte positions are exactly the packed/varint
 // block boundaries, so block k of a term's list is the range between
 // consecutive checkpoints and can be fetched without decoding anything
-// before it. v02–v04 files still load through ReadSegment; only v05
-// supports lazy opening.
+// before it.
 
 // SegmentFooterLen is the size of the fixed v05 trailer.
 const SegmentFooterLen = 40
 
-var segmentMagicV05 = [8]byte{'W', 'S', 'B', 'I', 'D', 'X', '0', '5'}
+var segmentMagic = [8]byte{'W', 'S', 'B', 'I', 'D', 'X', '0', '5'}
 
 // SegmentLayout is the section map carried by a v05 footer. Offsets are
 // absolute file offsets; FileSize includes the footer itself.
@@ -50,7 +50,7 @@ func ParseSegmentFooter(tail []byte) (SegmentLayout, error) {
 	if len(tail) != SegmentFooterLen {
 		return l, fmt.Errorf("index: segment footer is %d bytes, want %d", len(tail), SegmentFooterLen)
 	}
-	if [8]byte(tail[32:]) != segmentMagicV05 {
+	if [8]byte(tail[32:]) != segmentMagic {
 		return l, fmt.Errorf("%w: bad footer magic %q", ErrBadFormat, tail[32:])
 	}
 	l.DocOff = int64(binary.LittleEndian.Uint64(tail[0:]))
@@ -63,13 +63,14 @@ func ParseSegmentFooter(tail []byte) (SegmentLayout, error) {
 	return l, nil
 }
 
-// writeToV05 serializes the segment in the sectioned v05 layout.
-func (s *Segment) writeToV05(w io.Writer) (int64, error) {
+// WriteTo serializes the segment in the sectioned v05 layout. It
+// implements io.WriterTo.
+func (s *Segment) WriteTo(w io.Writer) (int64, error) {
 	if s.lazy != nil {
 		return 0, fmt.Errorf("index: cannot serialize a lazily-loaded segment")
 	}
 	cw := &countingWriter{w: bufio.NewWriter(w)}
-	cw.write(segmentMagicV05[:])
+	cw.write(segmentMagic[:])
 	cw.u8(uint8(s.comp))
 	flags := uint8(0)
 	if s.positions {
@@ -130,7 +131,7 @@ func (s *Segment) writeToV05(w io.Writer) (int64, error) {
 	cw.u64(uint64(dictOff))
 	cw.u64(uint64(postOff))
 	cw.u64(uint64(fileSize))
-	cw.write(segmentMagicV05[:])
+	cw.write(segmentMagic[:])
 	if cw.err == nil {
 		cw.err = cw.w.Flush()
 	}
@@ -146,8 +147,21 @@ type segMeta struct {
 	plens []int64
 }
 
-// readSegMeta decodes a v05 header + doc section + dict section from rd.
+// readSegMeta decodes the magic, header, doc section and dict section
+// from rd.
 func readSegMeta(rd *reader) (*segMeta, error) {
+	var magic [8]byte
+	rd.read(magic[:])
+	if rd.err != nil {
+		return nil, rd.err
+	}
+	if magic != segmentMagic {
+		if [6]byte(magic[:]) == [6]byte(segmentMagic[:]) {
+			return nil, fmt.Errorf("%w: segment format v%s is not supported (only v%s is); rebuild the index with cmd/indexer",
+				ErrBadFormat, magic[6:], segmentMagic[6:])
+		}
+		return nil, ErrBadFormat
+	}
 	s := &Segment{}
 	s.comp = Compression(rd.u8())
 	switch s.comp {
@@ -175,6 +189,11 @@ func readSegMeta(rd *reader) (*segMeta, error) {
 	if numDocs > maxCount || numTerms > maxCount {
 		return nil, fmt.Errorf("index: implausible counts docs=%d terms=%d", numDocs, numTerms)
 	}
+	// The declared counts are untrusted until that many entries actually
+	// decode, so slices grow by appending (with a bounded initial
+	// capacity) rather than pre-allocating count elements — a 100-byte
+	// file claiming 2^28 documents must fail on its missing bytes, not
+	// allocate gigabytes first.
 	const maxPrealloc = 1 << 16
 	prealloc := min(int(numDocs), maxPrealloc)
 	s.docLens = make([]int32, 0, prealloc)
@@ -225,6 +244,8 @@ func readSegMeta(rd *reader) (*segMeta, error) {
 			return nil, fmt.Errorf("index: posting list length %d exceeds limit", plen)
 		}
 		if s.comp == CompressionRaw && plen != uint64(df)*8 {
+			// Raw lists are fixed 8-byte records and are decoded without
+			// per-read bounds checks; a short list must be rejected here.
 			return nil, fmt.Errorf("index: term %q raw posting list is %d bytes, want %d", t, plen, df*8)
 		}
 		nBlocks := rd.uvarint()
@@ -286,13 +307,15 @@ func readSegMeta(rd *reader) (*segMeta, error) {
 	return m, nil
 }
 
-// readSegmentV05 finishes a whole-stream v05 load after the magic has
-// been consumed: sections in order, then the footer, then the same
-// validation pass every other format gets. The skip tables are rebuilt
-// from the decoded postings and must match the serialized ones — a
-// cheap end-to-end check that the block boundaries remote readers will
-// trust are the ones the data actually has.
-func readSegmentV05(rd *reader) (*Segment, error) {
+// ReadSegment deserializes a segment written by WriteTo: sections in
+// order, then the footer, then a decode of every posting list. The skip
+// tables are rebuilt from the decoded postings and must match the
+// serialized ones — a cheap end-to-end check that the block boundaries
+// remote readers will trust are the ones the data actually has. Any
+// other container version is rejected with an error wrapping
+// ErrBadFormat.
+func ReadSegment(r io.Reader) (*Segment, error) {
+	rd := &reader{r: bufio.NewReader(r)}
 	m, err := readSegMeta(rd)
 	if err != nil {
 		return nil, err
@@ -395,15 +418,7 @@ func OpenLazySegment(meta []byte, src BlockReader) (*Segment, error) {
 	if src == nil {
 		return nil, fmt.Errorf("index: OpenLazySegment requires a block reader")
 	}
-	rd := &reader{r: bufio.NewReader(newByteReader(meta))}
-	var magic [8]byte
-	rd.read(magic[:])
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	if magic != segmentMagicV05 {
-		return nil, fmt.Errorf("%w: lazy open requires format v05", ErrBadFormat)
-	}
+	rd := &reader{r: bufio.NewReader(bytes.NewReader(meta))}
 	m, err := readSegMeta(rd)
 	if err != nil {
 		return nil, err
@@ -696,21 +711,4 @@ func blockForPos(table []skipEntry, pos int) int {
 		}
 	}
 	return lo
-}
-
-// byteReader is a minimal io.Reader over a byte slice (bytes.Reader
-// without the import).
-type byteReader struct {
-	b []byte
-}
-
-func newByteReader(b []byte) *byteReader { return &byteReader{b} }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

@@ -2,7 +2,9 @@ package index
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"websearchbench/internal/corpus"
@@ -64,32 +66,23 @@ func TestParseSegmentFooterRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLegacyFormatsStillLoad writes each still-supported prior format
-// and round-trips it through ReadSegment.
-func TestLegacyFormatsStillLoad(t *testing.T) {
-	packed := buildSkippy(t)
-	// v02/v03 predate packed compression; exercise them with a varint
-	// segment.
-	varint := buildTiny(t, WithCompression(CompressionVarint))
-	writers := map[string]struct {
-		seg   *Segment
-		write func(*Segment, *bytes.Buffer) (int64, error)
-	}{
-		"v02": {varint, func(s *Segment, b *bytes.Buffer) (int64, error) { return s.WriteToLegacy(b) }},
-		"v03": {varint, func(s *Segment, b *bytes.Buffer) (int64, error) { return s.WriteToV03(b) }},
-		"v04": {packed, func(s *Segment, b *bytes.Buffer) (int64, error) { return s.WriteToV04(b) }},
+// TestRetiredFormatsRejected: a complete v02, v03 or v04 file — an
+// empty segment, whose header those formats laid out exactly as v05 does
+// and which had no footer — is refused with an error wrapping
+// ErrBadFormat that names the version, not loaded.
+func TestRetiredFormatsRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := NewBuilder(WithCompression(CompressionVarint)).Finalize().WriteTo(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for name, w := range writers {
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if _, err := w.write(w.seg, &buf); err != nil {
-				t.Fatalf("write: %v", err)
+	for _, v := range []string{"02", "03", "04"} {
+		t.Run("v"+v, func(t *testing.T) {
+			file := append([]byte(nil), buf.Bytes()[:buf.Len()-SegmentFooterLen]...)
+			copy(file[6:8], v)
+			_, err := ReadSegment(bytes.NewReader(file))
+			if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "v"+v) {
+				t.Fatalf("ReadSegment = %v, want an ErrBadFormat naming v%s", err, v)
 			}
-			got, err := ReadSegment(&buf)
-			if err != nil {
-				t.Fatalf("ReadSegment: %v", err)
-			}
-			segmentsEquivalent(t, w.seg, got)
 		})
 	}
 }
@@ -243,9 +236,6 @@ func TestLazySegmentCannotSerialize(t *testing.T) {
 	lazy, _ := lazyFromBytes(t, buf.Bytes())
 	if _, err := lazy.WriteTo(&bytes.Buffer{}); err == nil {
 		t.Fatal("WriteTo on a lazy segment should fail")
-	}
-	if _, err := lazy.WriteToV04(&bytes.Buffer{}); err == nil {
-		t.Fatal("WriteToV04 on a lazy segment should fail")
 	}
 }
 

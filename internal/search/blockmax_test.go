@@ -1,7 +1,6 @@
 package search
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"strings"
@@ -60,31 +59,22 @@ func hitsEquivalent(a, b []Hit) bool {
 // TestBlockMaxEquivalenceQuick is the central safe-pruning property of
 // the Block-Max evaluator, checked with testing/quick over random
 // queries: for both boolean modes, with local or global statistics, and
-// over both a block-max segment and a legacy-format reload without
-// metadata, pruned evaluation returns exactly the same top-k as
-// exhaustive evaluation.
+// over both a block-max segment and a raw segment without metadata,
+// pruned evaluation returns exactly the same top-k as exhaustive
+// evaluation.
 func TestBlockMaxEquivalenceQuick(t *testing.T) {
 	seg, vocab := blockMaxCorpus(t, 900)
 	if !seg.HasBlockMax() {
 		t.Fatal("corpus segment has no block-max metadata")
 	}
-	// A legacy round trip strips the metadata: the same property must
-	// hold through the MaxScore fallback path. Legacy files predate the
-	// packed encoding, so the downgraded segment is built as varint —
-	// which also puts both encodings under the same property.
-	varSeg, _ := blockMaxCorpus(t, 900, index.WithCompression(index.CompressionVarint))
-	var buf bytes.Buffer
-	if _, err := varSeg.WriteToLegacy(&buf); err != nil {
-		t.Fatal(err)
+	// A raw segment carries no metadata: the same property must hold
+	// through the MaxScore fallback path, which also puts a second
+	// encoding under the property.
+	raw, _ := blockMaxCorpus(t, 900, index.WithCompression(index.CompressionRaw))
+	if raw.HasBlockMax() {
+		t.Fatal("raw segment has block-max metadata")
 	}
-	legacy, err := index.ReadSegment(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.HasBlockMax() {
-		t.Fatal("legacy reload kept block-max metadata")
-	}
-	segments := []*index.Segment{seg, legacy}
+	segments := []*index.Segment{seg, raw}
 	stats := globalStatsFor(seg)
 
 	property := func(seed int64) bool {

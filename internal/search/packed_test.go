@@ -15,8 +15,8 @@ import (
 // packed segments return the identical top-k (documents, order, scores)
 // to varint segments under AND and OR modes, with local or global
 // statistics, pruned or exhaustive — including a packed segment
-// assembled by merging mixed-format inputs (v04 packed + v02 and v03
-// varint reloads) and one reloaded through v04 serialization.
+// assembled by merging packed, varint and raw inputs and one reloaded
+// through serialization.
 func TestPackedEquivalenceQuick(t *testing.T) {
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = 900
@@ -43,36 +43,32 @@ func TestPackedEquivalenceQuick(t *testing.T) {
 		t.Fatalf("default build is %v, want packed", packed.Compression())
 	}
 
-	// The same documents as one packed segment merged from the three
-	// on-disk format generations.
+	// The same documents as one packed segment merged from inputs in all
+	// three encodings.
 	third := len(docs) / 3
-	reload := func(s *index.Segment, write func(*index.Segment, *bytes.Buffer) error) *index.Segment {
-		var buf bytes.Buffer
-		if err := write(s, &buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := index.ReadSegment(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	v02 := reload(build(docs[third:2*third], index.WithCompression(index.CompressionVarint)),
-		func(s *index.Segment, b *bytes.Buffer) error { _, err := s.WriteToLegacy(b); return err })
-	v03 := reload(build(docs[2*third:], index.WithCompression(index.CompressionVarint)),
-		func(s *index.Segment, b *bytes.Buffer) error { _, err := s.WriteToV03(b); return err })
-	merged, err := index.MergeSegments([]*index.Segment{build(docs[:third]), v02, v03})
+	merged, err := index.MergeSegments([]*index.Segment{
+		build(docs[:third]),
+		build(docs[third:2*third], index.WithCompression(index.CompressionVarint)),
+		build(docs[2*third:], index.WithCompression(index.CompressionRaw)),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if merged.Compression() != index.CompressionPacked {
-		t.Fatalf("mixed-format merge produced %v, want packed", merged.Compression())
+		t.Fatalf("mixed-encoding merge produced %v, want packed", merged.Compression())
 	}
-	// And a v04 round trip of the packed segment: the serialized form
-	// must search identically to the in-memory build.
-	v04 := reload(packed, func(s *index.Segment, b *bytes.Buffer) error { _, err := s.WriteTo(b); return err })
+	// And a round trip of the packed segment: the serialized form must
+	// search identically to the in-memory build.
+	var buf bytes.Buffer
+	if _, err := packed.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := index.ReadSegment(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	packedSegs := []*index.Segment{packed, merged, v04}
+	packedSegs := []*index.Segment{packed, merged, reloaded}
 	stats := globalStatsFor(varint)
 
 	property := func(seed int64) bool {

@@ -30,7 +30,7 @@ type Options struct {
 	// DisableBlockMax forces plain MaxScore pruning even when the
 	// segment carries block-max metadata — kept for the Block-Max
 	// ablation. Block-Max is also skipped automatically when the
-	// metadata is absent (legacy on-disk segments, raw compression) or
+	// metadata is absent (raw compression) or
 	// inapplicable (global statistics replace the local bounds the block
 	// maxima were computed under; see Stats).
 	DisableBlockMax bool
@@ -242,8 +242,8 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 }
 
 // useBlockMax reports whether Block-Max pruning is applicable: the
-// segment must carry block metadata (packed or varint compression,
-// format v03+), iterators must have their skip tables (the shallow cursor
+// segment must carry block metadata (packed or varint compression),
+// iterators must have their skip tables (the shallow cursor
 // shares their block structure), and scoring must use the local
 // statistics the bounds were computed under.
 func (s *Searcher) useBlockMax() bool {
