@@ -10,7 +10,8 @@ import (
 // alternating uvarints become (gap, freq) pairs. The first gap may be 0
 // (docID 0 is legal); later gaps get +1 so docIDs stay strictly
 // increasing. Gaps are taken mod 1<<30 so long inputs can still exercise
-// near-maximal deltas without overflowing int32 docIDs.
+// near-maximal deltas; docIDs stay below exhaustedDoc, the iterator's
+// end-of-list sentinel.
 func postingsFromFuzz(data []byte) []posting {
 	var ps []posting
 	doc := int32(0)
@@ -31,8 +32,8 @@ func postingsFromFuzz(data []byte) []posting {
 			doc = g
 			first = false
 		} else {
-			if doc > exhaustedDoc-g-1 {
-				break // next docID would overflow
+			if doc >= exhaustedDoc-g-1 {
+				break // next docID would reach the sentinel
 			}
 			doc += g + 1
 		}
@@ -165,5 +166,57 @@ func FuzzPackedPostings(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRoundTrip(t, CompressionPacked, data)
+	})
+}
+
+// FuzzSkipTo replays an op stream against a packed list built from a gap
+// list, with its skip table attached (at any length: the iterator does
+// not depend on the table's build threshold), and checks every call
+// against the sorted reference. Each op byte picks a kind from its low
+// two bits and a distance from the rest: Next, a SkipTo onto a later
+// posting, a SkipTo just past a later posting (several blocks ahead or
+// past the end), or a SkipTo at or below the current doc.
+func FuzzSkipTo(f *testing.F) {
+	dense := make([]byte, 0, 600)
+	for i := 0; i < 300; i++ {
+		dense = append(dense, byte(i%3), byte(i%7))
+	}
+	f.Add([]byte{}, []byte{1, 2, 3})
+	f.Add(dense, []byte{0, 5, 9, 250, 6, 1, 255, 0, 3, 130})
+	f.Add(dense[:256], []byte{254, 254, 254, 254, 0})
+	f.Fuzz(func(t *testing.T, gaps, ops []byte) {
+		ref := postingsFromFuzz(gaps)
+		it := encodeAll(CompressionPacked, ref)
+		it.skips = skipTable(it)
+		cur := -1 // index in ref of the iterator's posting
+		for _, op := range ops {
+			kind, dist := op&3, int(op>>2)
+			target := int32(-1) // Next
+			switch j := max(cur, 0) + dist; {
+			case kind == 0:
+			case kind == 3:
+				target = 0
+				if cur >= 0 {
+					target = max(0, ref[cur].doc-int32(dist))
+				}
+			case kind == 1 && j < len(ref):
+				target = ref[j].doc
+			case kind == 2 && j+7*dist < len(ref):
+				target = ref[j+7*dist].doc + 1
+			default: // past the last posting, computed wide, then capped
+				wide := int64(exhaustedDoc) - int64(dist)
+				if len(ref) > 0 {
+					wide = min(wide, int64(ref[len(ref)-1].doc)+1+int64(dist))
+				}
+				target = int32(wide)
+			}
+			ok, err := replaySkipOp(&it, ref, &cur, target)
+			if err != nil {
+				t.Fatalf("op %#x: %v", op, err)
+			}
+			if !ok {
+				return
+			}
+		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"unsafe"
 )
@@ -15,7 +16,10 @@ import (
 var _ [672]byte = [unsafe.Sizeof(PostingsIterator{})]byte{}
 
 // randomListsSegment builds a segment whose lists have the given
-// document frequencies, each over a random set of the n documents.
+// document frequencies, each over a random set of the n documents; list
+// t is term "t%03d" (term ID t). A positional builder gets each document
+// as text, every term repeated its frequency times, so it needs an
+// analyzer that keeps those terms as they are.
 func randomListsSegment(rng *rand.Rand, n int, dfs []int, opts ...BuilderOption) *Segment {
 	terms := make([][]string, n)
 	freqs := make([][]int32, n)
@@ -27,7 +31,15 @@ func randomListsSegment(rng *rand.Rand, n int, dfs []int, opts ...BuilderOption)
 	}
 	b := NewBuilder(opts...)
 	for d := range terms {
-		b.AddPreanalyzed(StoredDoc{URL: fmt.Sprint(d)}, terms[d], freqs[d])
+		if !b.positions {
+			b.AddPreanalyzed(StoredDoc{URL: fmt.Sprint(d)}, terms[d], freqs[d])
+			continue
+		}
+		var body strings.Builder
+		for i, term := range terms[d] {
+			body.WriteString(strings.Repeat(term+" ", int(freqs[d][i])))
+		}
+		b.AddDocument("", body.String(), fmt.Sprint(d), 1)
 	}
 	return b.Finalize()
 }

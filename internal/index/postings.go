@@ -206,15 +206,18 @@ const exhaustedDoc = int32(1<<31 - 1)
 // SkipTo advances the iterator to the first posting with docID >= target.
 // It returns false if no such posting exists. The iterator must have been
 // advanced at least once by Next before calling SkipTo, or target must be
-// >= 0 (both are satisfied by normal conjunction loops). Long varint and
-// packed lists jump via their skip table (packed lists then decode the
-// landing block once); raw lists binary-search their fixed-width records.
+// >= 0 (both are satisfied by normal conjunction loops). Packed lists move
+// a block at a time (see skipToPacked); long varint lists jump via their
+// skip table and step from the checkpoint; raw lists binary-search their
+// fixed-width records.
 func (it *PostingsIterator) SkipTo(target int32) bool {
 	if it.doc >= target {
 		return true
 	}
 	switch it.comp {
-	case CompressionVarint, CompressionPacked:
+	case CompressionPacked:
+		return it.skipToPacked(target)
+	case CompressionVarint:
 		it.seekSkip(target)
 	case CompressionRaw:
 		it.seekRaw(target)

@@ -51,19 +51,22 @@ func (s *Segment) buildSkips() {
 	}
 	s.skips = make([][]skipEntry, len(s.postings))
 	for id := range s.postings {
-		df := s.docFreqs[id]
-		if df < skipMinDocFreq {
-			continue
+		if s.docFreqs[id] >= skipMinDocFreq {
+			s.skips[id] = skipTable(s.PostingsByID(int32(id)))
 		}
-		it := s.PostingsByID(int32(id))
-		var table []skipEntry
-		for i := int32(1); it.Next(); i++ {
-			if i%skipInterval == 0 {
-				table = append(table, skipEntry{doc: it.Doc(), pos: int32(it.pos), used: i})
-			}
-		}
-		s.skips[id] = table
 	}
+}
+
+// skipTable walks a posting list and checkpoints every
+// skipInterval-th posting.
+func skipTable(it PostingsIterator) []skipEntry {
+	var table []skipEntry
+	for i := int32(1); it.Next(); i++ {
+		if i%skipInterval == 0 {
+			table = append(table, skipEntry{doc: it.Doc(), pos: int32(it.pos), used: i})
+		}
+	}
+	return table
 }
 
 // applySkips attaches a term's skip table to an iterator.
@@ -74,43 +77,38 @@ func (s *Segment) applySkips(id int32, it *PostingsIterator) {
 }
 
 // seekSkip jumps the iterator to the last checkpoint strictly before
-// target, if that checkpoint is ahead of the current position. It returns
-// true when a jump happened.
-func (it *PostingsIterator) seekSkip(target int32) bool {
-	if len(it.skips) == 0 {
-		return false
+// target, if one lies ahead of the current position. Entry k checkpoints
+// posting (k+1)·skipInterval, so entries of consumed blocks sit at or
+// below the current doc: the search starts at the current block's entry
+// and gallops forward, O(log distance) where a conjunction's next target
+// is usually a block or two ahead. Packed callers must have drained the
+// decoded block, since the jump lands on a block boundary.
+func (it *PostingsIterator) seekSkip(target int32) {
+	skips := it.skips
+	lo := int((it.initCount - it.count) / skipInterval)
+	if lo >= len(skips) || skips[lo].doc >= target {
+		return
 	}
-	// Find the last entry with doc < target.
-	lo, hi := 0, len(it.skips)
-	for lo < hi {
+	// Invariant: skips[lo].doc < target, and hi is len(skips) or an
+	// entry at or above target.
+	hi, step := lo+1, 1
+	for hi < len(skips) && skips[hi].doc < target {
+		lo, step = hi, 2*step
+		hi = min(lo+step, len(skips))
+	}
+	for lo+1 < hi {
 		mid := (lo + hi) / 2
-		if it.skips[mid].doc < target {
-			lo = mid + 1
+		if skips[mid].doc < target {
+			lo = mid
 		} else {
 			hi = mid
 		}
 	}
-	if lo == 0 {
-		return false
-	}
-	e := it.skips[lo-1]
-	// Only jump forward.
-	if e.doc <= it.doc {
-		return false
-	}
-	total := it.totalCount()
+	e := skips[lo]
 	it.doc = e.doc
 	it.pos = int(e.pos)
-	it.count = total - e.used
-	// Checkpoints land on packed block boundaries; drop any partially
-	// consumed scratch block so the next Next decodes at the new offset.
-	it.bIdx, it.bLen = 0, 0
-	return true
+	it.count = it.initCount - e.used
 }
-
-// totalCount reconstructs the list length from remaining count plus
-// consumed postings; iterators remember it via the initial count.
-func (it *PostingsIterator) totalCount() int32 { return it.initCount }
 
 // numBlocksFor returns the number of block-max blocks a varint or packed
 // posting list of the given length carries. Lists long enough for a skip table

@@ -1,7 +1,11 @@
 package index
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -70,50 +74,164 @@ func TestSkipToWithTableMatchesLinear(t *testing.T) {
 	}
 }
 
-// Property: any monotone sequence of SkipTo/Next calls sees identical
-// streams with and without the skip table, for both compressions and
-// positional lists.
-func TestSkipEquivalenceProperty(t *testing.T) {
-	segs := map[string]*Segment{
-		"packed":     buildLongList(t, 900),
-		"varint":     buildLongList(t, 900, WithCompression(CompressionVarint)),
-		"raw":        buildLongList(t, 900, WithCompression(CompressionRaw)),
-		"positional": buildLongList(t, 900, WithPositions()),
+// replaySkipOp makes one call on it — Next for a negative target,
+// SkipTo(target) otherwise — and checks the answer against ref, the
+// list's postings in doc order. *cur, the index in ref of the iterator's
+// posting, moves the way the call must move the iterator. It reports
+// whether the iterator still holds a posting, and how the call disagreed
+// with ref, if it did.
+func replaySkipOp(it *PostingsIterator, ref []posting, cur *int, target int32) (bool, error) {
+	var ok bool
+	if target < 0 {
+		ok = it.Next()
+		*cur++
+	} else {
+		ok = it.SkipTo(target)
+		if *cur < 0 || ref[*cur].doc < target {
+			*cur = sort.Search(len(ref), func(k int) bool { return ref[k].doc >= target })
+		}
 	}
-	f := func(seed int64, name uint8) bool {
-		keys := []string{"packed", "varint", "raw", "positional"}
-		s := segs[keys[int(name)%len(keys)]]
+	switch {
+	case ok != (*cur < len(ref)):
+		return ok, fmt.Errorf("ok = %v, want %v", ok, !ok)
+	case !ok && !it.Exhausted():
+		return false, errors.New("false without exhausting the iterator")
+	case ok && (it.Doc() != ref[*cur].doc || it.Freq() != ref[*cur].freq):
+		return true, fmt.Errorf("at (%d,%d), want posting %d (%d,%d)", it.Doc(), it.Freq(), *cur, ref[*cur].doc, ref[*cur].freq)
+	}
+	return ok, nil
+}
+
+// Property: any sequence of Next/SkipTo calls, with or without the skip
+// table, walks exactly the reference postings — SkipTo landing on the
+// first posting at or above its target, staying put on a target at or
+// below the current doc, and reporting the end past the last one — for
+// every encoding, positional and lazy lists, and every list shape: a
+// varint tail alone and one full block plus a tail (no skip table below
+// skipMinDocFreq), exactly two full blocks (a table, no tail), many
+// blocks plus a tail, and a list in every document (every gap packs at
+// width 0). The reference is the raw list walked by Next.
+func TestSkipEquivalenceProperty(t *testing.T) {
+	const docs = 3000
+	dfs := []int{40, 100, skipMinDocFreq, 1500, docs}
+	build := func(opts ...BuilderOption) *Segment {
+		return randomListsSegment(rand.New(rand.NewSource(17)), docs, dfs, opts...)
+	}
+	segs := map[string]*Segment{
+		"packed":     build(),
+		"varint":     build(WithCompression(CompressionVarint)),
+		"raw":        build(WithCompression(CompressionRaw)),
+		"positional": build(WithPositions(), WithAnalyzer(&textproc.Analyzer{DisableStemming: true})),
+	}
+	var buf bytes.Buffer
+	if _, err := segs["packed"].WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	segs["lazy-packed"], _ = lazyFromBytes(t, buf.Bytes())
+	refs := make([][]posting, len(dfs))
+	for l := range refs {
+		refs[l] = decodeAll(segs["raw"].PostingsByID(int32(l)))
+	}
+	names := []string{"packed", "varint", "raw", "positional", "lazy-packed"}
+	f := func(seed int64, which, list uint8, withSkips bool) bool {
+		s := segs[names[int(which)%len(names)]]
+		l := int(list) % len(refs)
+		ref, term := refs[l], fmt.Sprintf("t%03d", l)
+		it, _ := s.Postings(term)
+		if !withSkips {
+			it, _ = s.PostingsWithoutSkips(term)
+		}
 		rng := rand.New(rand.NewSource(seed))
-		fast, _ := s.Postings("common")
-		slow, _ := s.PostingsWithoutSkips("common")
-		target := int32(0)
-		for op := 0; op < 40; op++ {
-			if rng.Intn(2) == 0 {
-				target += int32(rng.Intn(60))
-				fok, sok := fast.SkipTo(target), slow.SkipTo(target)
-				if fok != sok {
-					return false
+		// A block of this list spans about blockSpan documents; strides
+		// reach from inside one block to several blocks ahead.
+		blockSpan := skipInterval*docs/len(ref) + 1
+		cur := -1 // index in ref of the iterator's posting
+		for op := 0; op < 80; op++ {
+			target := int32(-1) // Next
+			if rng.Intn(3) != 0 {
+				target = 0
+				if cur >= 0 {
+					target = ref[cur].doc
 				}
-				if !fok {
-					return true
-				}
-			} else {
-				fok, sok := fast.Next(), slow.Next()
-				if fok != sok {
-					return false
-				}
-				if !fok {
-					return true
+				switch r := rng.Intn(10); {
+				case r == 0: // past the end
+					target = ref[len(ref)-1].doc + 1 + int32(rng.Intn(blockSpan))
+				case r == 1: // at or below the current doc
+					target = max(0, target-int32(rng.Intn(blockSpan)))
+				case r < 5: // inside the current block, mostly
+					target += int32(rng.Intn(blockSpan/4 + 2))
+				default: // up to several blocks ahead
+					target += int32(rng.Intn(6 * blockSpan))
 				}
 			}
-			if fast.Doc() != slow.Doc() || fast.Freq() != slow.Freq() {
+			ok, err := replaySkipOp(&it, ref, &cur, target)
+			if err != nil {
+				t.Logf("%s %s op %d: %v", names[int(which)%len(names)], term, op, err)
 				return false
+			}
+			if !ok {
+				return true
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSkipToReadsOnlyLandingBlocks: SkipTo decodes a block only if it
+// holds the posting the call returns, so a cold lazy packed list reads
+// nothing for a target inside the decoded block and reads no block it
+// jumps over. Jumps land at least two blocks apart: a miss on the block
+// right after the last one read is sequential and earns read-ahead.
+func TestSkipToReadsOnlyLandingBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	s := randomListsSegment(rng, 6000, []int{2500})
+	ref := decodeAll(s.PostingsByID(0))
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lazy, rd := lazyFromBytes(t, buf.Bytes())
+	read := map[int]bool{}
+	rd.check = func(run BlockRun) {
+		for j := range run.Sizes {
+			read[run.First+j] = true
+		}
+	}
+	returned := map[int]bool{}
+	it := lazy.PostingsByID(0)
+	skipTo := func(k int) {
+		t.Helper()
+		target := ref[k].doc
+		if k > 0 { // anywhere in the gap above the previous posting
+			target -= int32(rng.Intn(int(ref[k].doc - ref[k-1].doc)))
+		}
+		if !it.SkipTo(target) || it.Doc() != ref[k].doc || it.Freq() != ref[k].freq {
+			t.Fatalf("SkipTo(%d) = (%d,%d), want posting %d (%d,%d)", target, it.Doc(), it.Freq(), k, ref[k].doc, ref[k].freq)
+		}
+		returned[k/skipInterval] = true
+	}
+	for b := 1 + rng.Intn(2); b*skipInterval < len(ref); b += 2 + rng.Intn(4) {
+		end := min((b+1)*skipInterval, len(ref))
+		k := b*skipInterval + rng.Intn(end-b*skipInterval)
+		skipTo(k)
+		reads := rd.reads
+		for k += 1 + rng.Intn(8); k < end; k += 1 + rng.Intn(8) {
+			skipTo(k)
+		}
+		if rd.reads != reads {
+			t.Fatalf("block %d: SkipTo inside the decoded block read %d runs", b, rd.reads-reads)
+		}
+	}
+	if len(read) == 0 {
+		t.Fatal("the walk read nothing")
+	}
+	for b := range read {
+		if !returned[b] {
+			t.Errorf("block %d was read but SkipTo returned none of its postings", b)
+		}
 	}
 }
 

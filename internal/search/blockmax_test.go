@@ -9,6 +9,7 @@ import (
 
 	"websearchbench/internal/corpus"
 	"websearchbench/internal/index"
+	"websearchbench/internal/textproc"
 )
 
 // blockMaxCorpus builds one reusable segment + vocabulary pair sized so
@@ -139,6 +140,49 @@ func TestBlockMaxDecodesFewer(t *testing.T) {
 	}
 	t.Logf("postings decoded: maxscore=%d blockmax=%d (saved %.1f%%)",
 		msPost, bmPost, 100*(1-float64(bmPost)/float64(msPost)))
+}
+
+// raceEnabled is set by race_test.go in -race builds, where sync.Pool
+// drops a quarter of the items put back, so pooled paths allocate.
+var raceEnabled bool
+
+// TestSearchIntoAllocationFree: once the pools are warm and the Result's
+// Hits array is large enough, evaluating a query on a resident packed
+// segment allocates nothing, whichever strategy runs it and however many
+// hits it returns.
+func TestSearchIntoAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	seg, vocab := blockMaxCorpus(t, 2000)
+	if seg.Compression() != index.CompressionPacked || !seg.HasBlockMax() {
+		t.Fatal("corpus segment is not packed with block maxima")
+	}
+	a := textproc.NewAnalyzer()
+	and := ParseQuery(a, vocab.Word(5)+" "+vocab.Word(30), ModeAnd)
+	or := ParseQuery(a, vocab.Word(0)+" "+vocab.Word(3)+" "+vocab.Word(40), ModeOr)
+	for _, c := range []struct {
+		name string
+		opts Options
+		q    Query
+		hits int
+	}{
+		{"and", Options{TopK: 10}, and, 10},
+		{"and-one-hit", Options{TopK: 1}, and, 1},
+		{"blockmax-or", Options{TopK: 10, UseMaxScore: true}, or, 10},
+		{"maxscore-or", Options{TopK: 10, UseMaxScore: true, DisableBlockMax: true}, or, 10},
+		{"exhaustive-or", Options{TopK: 10}, or, 10},
+	} {
+		s := NewSearcher(seg, c.opts)
+		var res Result
+		s.SearchInto(c.q, &res)
+		if len(res.Hits) != c.hits {
+			t.Fatalf("%s: %d hits, want %d", c.name, len(res.Hits), c.hits)
+		}
+		if n := testing.AllocsPerRun(50, func() { s.SearchInto(c.q, &res) }); n != 0 {
+			t.Errorf("%s: %v allocs per steady-state SearchInto, want 0", c.name, n)
+		}
+	}
 }
 
 // TestSearchIntoReuse checks the reuse-safe Result contract: repeated

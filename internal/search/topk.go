@@ -1,9 +1,6 @@
 package search
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // topK is a bounded min-heap of hits: the root is the weakest hit kept.
 // Ties are broken so the hit with the larger docID is weaker, giving
@@ -96,11 +93,20 @@ func (h *topK) down(i int) {
 }
 
 // appendSorted appends the heap's hits to dst in descending rank order
-// and returns dst. It sorts the backing array in place, so the heap must
-// be released (or reset) afterwards, not offered more hits.
+// and returns dst. It pops the heap empty — the root is always the
+// weakest hit left, so the pops fill dst's new tail from the back — and
+// allocates nothing once dst has the capacity.
 func (h *topK) appendSorted(dst []Hit) []Hit {
-	sort.Slice(h.items, func(i, j int) bool { return weaker(h.items[j], h.items[i]) })
-	return append(dst, h.items...)
+	n := len(dst)
+	dst = append(dst, h.items...)
+	for i := len(dst) - 1; i >= n; i-- {
+		last := len(h.items) - 1
+		dst[i] = h.items[0]
+		h.items[0] = h.items[last]
+		h.items = h.items[:last]
+		h.down(0)
+	}
+	return dst
 }
 
 // MergeTopK merges several descending-sorted hit lists into a single
