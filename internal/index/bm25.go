@@ -27,15 +27,40 @@ func IDF(n, df int64) float64 {
 // the term's IDF, freq the within-document frequency, docLen the document
 // length in terms, and avgDocLen the collection's average document length.
 func (p BM25Params) Score(idf float64, freq int32, docLen int32, avgDocLen float64) float64 {
+	return p.ScoreNorm(idf, freq, p.LengthNorm(docLen, avgDocLen))
+}
+
+// ScoreNorm is Score with the document's LengthNorm already computed —
+// the form evaluation uses, reading the norm from a per-document table
+// so that scoring a posting costs one division.
+func (p BM25Params) ScoreNorm(idf float64, freq int32, lengthNorm float64) float64 {
 	if freq <= 0 {
 		return 0
 	}
 	f := float64(freq)
+	return idf * f * (p.K1 + 1) / (f + lengthNorm)
+}
+
+// LengthNorm returns K1·(1−B+B·docLen/avgDocLen), the document-length
+// term of Score's denominator. The product is rounded to float64
+// explicitly: left implicit, a compiler may fuse it with ScoreNorm's
+// addition into one FMA on some architectures, and a table of norms would
+// then score differently from Score.
+func (p BM25Params) LengthNorm(docLen int32, avgDocLen float64) float64 {
 	norm := 1 - p.B
 	if avgDocLen > 0 {
 		norm += p.B * float64(docLen) / avgDocLen
 	}
-	return idf * f * (p.K1 + 1) / (f + p.K1*norm)
+	return float64(p.K1 * norm)
+}
+
+// lengthNorms returns LengthNorm of every document length in docLens.
+func (p BM25Params) lengthNorms(docLens []int32, avgDocLen float64) []float64 {
+	norms := make([]float64, len(docLens))
+	for d, dl := range docLens {
+		norms[d] = p.LengthNorm(dl, avgDocLen)
+	}
+	return norms
 }
 
 // MaxScore returns an upper bound on Score over any freq and docLen:

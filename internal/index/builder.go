@@ -211,6 +211,7 @@ func (b *Builder) Finalize() *Segment {
 		s.docFreqs[id] = acc.enc.count
 		s.collFreqs[id] = acc.collFreq
 	}
+	s.buildLengthNorms()
 	s.computeMaxScores()
 	s.buildSkips()
 	s.computeBlockMaxes()
@@ -223,15 +224,15 @@ func (b *Builder) Finalize() *Segment {
 // computeMaxScores walks every posting list once and records the exact
 // maximum BM25 contribution of each term, the bound MaxScore pruning
 // uses (quantized upward so the float32 never dips below the true max).
+// Must run after buildLengthNorms.
 func (s *Segment) computeMaxScores() {
 	n := int64(len(s.docLens))
-	avg := s.AvgDocLen()
 	for id := range s.termList {
 		idf := IDF(n, int64(s.docFreqs[id]))
 		it := s.PostingsByID(int32(id))
 		var max float64
 		for it.Next() {
-			sc := s.bm25.Score(idf, it.Freq(), s.docLens[it.Doc()], avg)
+			sc := s.bm25.ScoreNorm(idf, it.Freq(), s.lengthNorms[it.Doc()])
 			if sc > max {
 				max = sc
 			}

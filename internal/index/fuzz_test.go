@@ -172,10 +172,11 @@ func FuzzPackedPostings(f *testing.F) {
 // FuzzSkipTo replays an op stream against a packed list built from a gap
 // list, with its skip table attached (at any length: the iterator does
 // not depend on the table's build threshold), and checks every call
-// against the sorted reference. Each op byte picks a kind from its low
-// two bits and a distance from the rest: Next, a SkipTo onto a later
-// posting, a SkipTo just past a later posting (several blocks ahead or
-// past the end), or a SkipTo at or below the current doc.
+// against the sorted reference. Each op byte picks a kind (op%5) and a
+// distance (op/5): Next, a SkipTo onto a later posting, a SkipTo just past
+// a later posting (several blocks ahead or past the end), a SkipTo at or
+// below the current doc, or the block run up to a later posting followed
+// by Next.
 func FuzzSkipTo(f *testing.F) {
 	dense := make([]byte, 0, 600)
 	for i := 0; i < 300; i++ {
@@ -184,13 +185,14 @@ func FuzzSkipTo(f *testing.F) {
 	f.Add([]byte{}, []byte{1, 2, 3})
 	f.Add(dense, []byte{0, 5, 9, 250, 6, 1, 255, 0, 3, 130})
 	f.Add(dense[:256], []byte{254, 254, 254, 254, 0})
+	f.Add(dense, []byte{0, 4, 44, 9, 6, 249, 4, 4})
 	f.Fuzz(func(t *testing.T, gaps, ops []byte) {
 		ref := postingsFromFuzz(gaps)
 		it := encodeAll(CompressionPacked, ref)
 		it.skips = skipTable(it)
 		cur := -1 // index in ref of the iterator's posting
 		for _, op := range ops {
-			kind, dist := op&3, int(op>>2)
+			kind, dist := op%5, int(op/5)
 			target := int32(-1) // Next
 			switch j := max(cur, 0) + dist; {
 			case kind == 0:
@@ -199,7 +201,7 @@ func FuzzSkipTo(f *testing.F) {
 				if cur >= 0 {
 					target = max(0, ref[cur].doc-int32(dist))
 				}
-			case kind == 1 && j < len(ref):
+			case (kind == 1 || kind == 4) && j < len(ref):
 				target = ref[j].doc
 			case kind == 2 && j+7*dist < len(ref):
 				target = ref[j+7*dist].doc + 1
@@ -210,7 +212,7 @@ func FuzzSkipTo(f *testing.F) {
 				}
 				target = int32(wide)
 			}
-			ok, err := replaySkipOp(&it, ref, &cur, target)
+			ok, err := replaySkipOp(&it, ref, &cur, target, kind == 4)
 			if err != nil {
 				t.Fatalf("op %#x: %v", op, err)
 			}

@@ -151,6 +151,7 @@ func MergeSegmentsFiltered(segs []*Segment, drop []func(int32) bool) (*Segment, 
 		out.docFreqs[id] = mt.docFreq
 		out.collFreqs[id] = mt.collFreq
 	}
+	out.buildLengthNorms()
 	out.computeMaxScores()
 	out.buildSkips()
 	// Block maxima are recomputed from the merged postings rather than

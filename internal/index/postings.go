@@ -199,6 +199,35 @@ func (it *PostingsIterator) Next() bool {
 	return true
 }
 
+// Run returns the current posting and the postings after it in the
+// decoded block whose docIDs are below upTo, docIDs and frequencies
+// aligned, and leaves the iterator on the last posting returned: the next
+// Next continues after the run. Packed lists return up to a block's worth;
+// varint and raw lists, which decode one posting at a time, return the
+// current posting alone. The run is empty when the iterator is not on a
+// posting below upTo (not yet advanced, exhausted, or at or past upTo).
+// The slices alias the iterator and are valid until it next moves.
+func (it *PostingsIterator) Run(upTo int32) (docs, freqs []int32) {
+	if it.doc < 0 || it.doc >= upTo {
+		return nil, nil
+	}
+	if it.comp != CompressionPacked {
+		it.bDocs[0], it.bFreqs[0] = it.doc, it.freq
+		return it.bDocs[:1], it.bFreqs[:1]
+	}
+	start, end := it.bIdx-1, it.bLen
+	if it.bDocs[end-1] >= upTo {
+		end = it.bIdx
+		for it.bDocs[end] < upTo {
+			end++
+		}
+	}
+	it.count -= end - it.bIdx
+	it.bIdx = end
+	it.doc, it.freq = it.bDocs[end-1], it.bFreqs[end-1]
+	return it.bDocs[start:end], it.bFreqs[start:end]
+}
+
 // exhaustedDoc sorts after every valid docID so exhausted iterators fall
 // out of merge frontiers naturally.
 const exhaustedDoc = int32(1<<31 - 1)

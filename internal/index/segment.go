@@ -39,6 +39,10 @@ type Segment struct {
 	// with the skip table). nil on raw segments, which makes Block-Max
 	// pruning fall back to plain MaxScore.
 	blockMaxes [][]float32
+	// lengthNorms[d] is BM25 LengthNorm of doc d under the segment's own
+	// average length: built with the segment, so searchers over it share
+	// one table.
+	lengthNorms []float64
 	// lazy is non-nil on segments opened via OpenLazySegment: postings is
 	// empty and posting bytes are read through lazy.src.
 	lazy *lazyPostings
@@ -78,6 +82,23 @@ func (s *Segment) Doc(docID int32) StoredDoc { return s.docs[docID] }
 
 // BM25 returns the segment's scoring parameters.
 func (s *Segment) BM25() BM25Params { return s.bm25 }
+
+// LengthNorms returns every document's BM25 LengthNorm under average
+// document length avg, indexed by docID: the table built with the segment
+// when avg is the segment's own average, else a new one. Callers must not
+// modify it.
+func (s *Segment) LengthNorms(avg float64) []float64 {
+	if avg == s.AvgDocLen() {
+		return s.lengthNorms
+	}
+	return s.bm25.lengthNorms(s.docLens, avg)
+}
+
+// buildLengthNorms computes the segment's own length-norm table; every
+// constructor calls it once the document lengths are final.
+func (s *Segment) buildLengthNorms() {
+	s.lengthNorms = s.bm25.lengthNorms(s.docLens, s.AvgDocLen())
+}
 
 // Compression returns the posting-list encoding.
 func (s *Segment) Compression() Compression { return s.comp }

@@ -142,7 +142,6 @@ func (s *Segment) computeBlockMaxes() {
 		return
 	}
 	n := int64(len(s.docLens))
-	avg := s.AvgDocLen()
 	s.blockMaxes = make([][]float32, len(s.postings))
 	for id := range s.postings {
 		df := s.docFreqs[id]
@@ -157,7 +156,7 @@ func (s *Segment) computeBlockMaxes() {
 		it := s.PostingsByID(int32(id))
 		var blockMax float64
 		for i := int32(1); it.Next(); i++ {
-			sc := s.bm25.Score(idf, it.Freq(), s.docLens[it.Doc()], avg)
+			sc := s.bm25.ScoreNorm(idf, it.Freq(), s.lengthNorms[it.Doc()])
 			if sc > blockMax {
 				blockMax = sc
 			}

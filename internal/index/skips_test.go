@@ -75,17 +75,42 @@ func TestSkipToWithTableMatchesLinear(t *testing.T) {
 }
 
 // replaySkipOp makes one call on it — Next for a negative target,
-// SkipTo(target) otherwise — and checks the answer against ref, the
-// list's postings in doc order. *cur, the index in ref of the iterator's
-// posting, moves the way the call must move the iterator. It reports
-// whether the iterator still holds a posting, and how the call disagreed
-// with ref, if it did.
-func replaySkipOp(it *PostingsIterator, ref []posting, cur *int, target int32) (bool, error) {
+// SkipTo(target) otherwise, or with run, Run(target) and then Next — and
+// checks the answer against ref, the list's postings in doc order. *cur,
+// the index in ref of the iterator's posting, moves the way the call must
+// move the iterator. A run must be every posting from the current one up
+// to target that lies in the current block: for packed lists, the
+// packedBlockLen-long block holding *cur; for the others, *cur alone. It
+// reports whether the iterator still holds a posting, and how the call
+// disagreed with ref, if it did.
+func replaySkipOp(it *PostingsIterator, ref []posting, cur *int, target int32, run bool) (bool, error) {
 	var ok bool
-	if target < 0 {
+	switch {
+	case run:
+		docs, freqs := it.Run(target)
+		want := 0
+		if *cur >= 0 && *cur < len(ref) && ref[*cur].doc < target {
+			end := *cur + 1
+			if it.comp == CompressionPacked {
+				end = min(len(ref), (*cur/packedBlockLen+1)*packedBlockLen)
+			}
+			want = sort.Search(end-*cur, func(k int) bool { return ref[*cur+k].doc >= target })
+		}
+		if len(docs) != want || len(freqs) != want {
+			return false, fmt.Errorf("Run(%d) returned %d postings, want %d from posting %d", target, len(docs), want, *cur)
+		}
+		for j := range docs {
+			if p := ref[*cur+j]; docs[j] != p.doc || freqs[j] != p.freq {
+				return false, fmt.Errorf("Run(%d)[%d] = (%d,%d), want posting %d (%d,%d)", target, j, docs[j], freqs[j], *cur+j, p.doc, p.freq)
+			}
+		}
+		*cur += max(want-1, 0)
 		ok = it.Next()
 		*cur++
-	} else {
+	case target < 0:
+		ok = it.Next()
+		*cur++
+	default:
 		ok = it.SkipTo(target)
 		if *cur < 0 || ref[*cur].doc < target {
 			*cur = sort.Search(len(ref), func(k int) bool { return ref[k].doc >= target })
@@ -102,10 +127,11 @@ func replaySkipOp(it *PostingsIterator, ref []posting, cur *int, target int32) (
 	return ok, nil
 }
 
-// Property: any sequence of Next/SkipTo calls, with or without the skip
-// table, walks exactly the reference postings — SkipTo landing on the
-// first posting at or above its target, staying put on a target at or
-// below the current doc, and reporting the end past the last one — for
+// Property: any sequence of Next/SkipTo calls and block runs, with or
+// without the skip table, walks exactly the reference postings — SkipTo
+// landing on the first posting at or above its target, staying put on a
+// target at or below the current doc, and reporting the end past the last
+// one, Run returning the current block's postings below its target — for
 // every encoding, positional and lazy lists, and every list shape: a
 // varint tail alone and one full block plus a tail (no skip table below
 // skipMinDocFreq), exactly two full blocks (a table, no tail), many
@@ -148,7 +174,9 @@ func TestSkipEquivalenceProperty(t *testing.T) {
 		cur := -1 // index in ref of the iterator's posting
 		for op := 0; op < 80; op++ {
 			target := int32(-1) // Next
+			run := false
 			if rng.Intn(3) != 0 {
+				run = rng.Intn(4) == 0
 				target = 0
 				if cur >= 0 {
 					target = ref[cur].doc
@@ -164,7 +192,7 @@ func TestSkipEquivalenceProperty(t *testing.T) {
 					target += int32(rng.Intn(6 * blockSpan))
 				}
 			}
-			ok, err := replaySkipOp(&it, ref, &cur, target)
+			ok, err := replaySkipOp(&it, ref, &cur, target, run)
 			if err != nil {
 				t.Logf("%s %s op %d: %v", names[int(which)%len(names)], term, op, err)
 				return false

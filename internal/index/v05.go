@@ -203,6 +203,7 @@ func readSegMeta(rd *reader) (*segMeta, error) {
 			return nil, fmt.Errorf("index: doc lengths: %w", rd.err)
 		}
 	}
+	s.buildLengthNorms()
 	s.docs = make([]StoredDoc, 0, prealloc)
 	for i := uint32(0); i < numDocs; i++ {
 		var d StoredDoc

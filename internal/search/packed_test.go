@@ -16,7 +16,8 @@ import (
 // to varint segments under AND and OR modes, with local or global
 // statistics, pruned or exhaustive — including a packed segment
 // assembled by merging packed, varint and raw inputs and one reloaded
-// through serialization.
+// through serialization. Pruned OR is compared up to the order of tied
+// scores, every other pairing exactly.
 func TestPackedEquivalenceQuick(t *testing.T) {
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = 900
@@ -99,8 +100,22 @@ func TestPackedEquivalenceQuick(t *testing.T) {
 		ref := NewSearcher(varint, Options{TopK: k, UseMaxScore: false, Stats: st})
 		got := NewSearcher(ps, Options{TopK: k, UseMaxScore: prune, Stats: st})
 		q := ParseQuery(ref.Options().Analyzer, strings.Join(terms, " "), mode)
-		return hitsEquivalent(ref.Search(q).Hits, got.Search(q).Hits)
+		hits := got.Search(q).Hits
+		if !prune || mode == ModeAnd {
+			return hitsEquivalent(ref.Search(q).Hits, hits)
+		}
+		if err := sameUpToTies(hits, ref, q, k); err != nil {
+			t.Logf("seed %d, query %v, k=%d: %v", seed, terms, k, err)
+			return false
+		}
+		return true
 	}
+	// Pruned OR once swapped two tied docs here (doc 205 one ULP low).
+	t.Run("pinned--6523578025653113912", func(t *testing.T) {
+		if !property(-6523578025653113912) {
+			t.Fatal("top-k differs from the varint reference")
+		}
+	})
 	if err := quick.Check(property, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"strings"
@@ -202,8 +203,8 @@ func corpusSearchers(t testing.TB, numDocs int) (*Searcher, *Searcher, *corpus.V
 }
 
 // TestMaxScoreEquivalence is the central correctness property of the
-// pruned evaluator: for any query, MaxScore returns exactly the same
-// top-k (docs, scores, order) as exhaustive evaluation.
+// pruned evaluator: for any query, MaxScore returns the same top-k (docs,
+// scores, order) as exhaustive evaluation, up to the order of tied scores.
 func TestMaxScoreEquivalence(t *testing.T) {
 	ex, ms, vocab := corpusSearchers(t, 800)
 	rng := rand.New(rand.NewSource(11))
@@ -220,18 +221,8 @@ func TestMaxScoreEquivalence(t *testing.T) {
 		}
 		raw := strings.Join(terms, " ")
 		q := ParseQuery(ex.Options().Analyzer, raw, ModeOr)
-		a := ex.Search(q)
-		b := ms.Search(q)
-		if len(a.Hits) != len(b.Hits) {
-			t.Fatalf("query %q: exhaustive %d hits, maxscore %d hits",
-				raw, len(a.Hits), len(b.Hits))
-		}
-		for i := range a.Hits {
-			if a.Hits[i].Doc != b.Hits[i].Doc ||
-				math.Abs(a.Hits[i].Score-b.Hits[i].Score) > 1e-9 {
-				t.Fatalf("query %q: hit %d differs: %+v vs %+v",
-					raw, i, a.Hits[i], b.Hits[i])
-			}
+		if err := sameUpToTies(ms.Search(q).Hits, ex, q, 10); err != nil {
+			t.Fatalf("query %q: %v", raw, err)
 		}
 	}
 }
@@ -289,6 +280,42 @@ func TestAndScoresMatchOr(t *testing.T) {
 	for _, h := range and.Hits {
 		if math.Abs(orScore[h.Doc]-h.Score) > 1e-9 {
 			t.Errorf("doc %d: AND score %v != OR score %v", h.Doc, h.Score, orScore[h.Doc])
+		}
+	}
+}
+
+// TestLengthNormTableMatchesScore: scoring through a searcher's
+// per-document length-norm table, as the pruned evaluator does, gives
+// BM25Params.Score's bits for every document — with the table a segment
+// builds (and rebuilds when read back) and with the one a global-stats
+// searcher builds for another average length.
+func TestLengthNormTableMatchesScore(t *testing.T) {
+	seg, _ := blockMaxCorpus(t, 600)
+	var buf bytes.Buffer
+	if _, err := seg.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := index.ReadSegment(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := globalStatsFor(seg)
+	global.AvgDocLen *= 1.3
+	for name, s := range map[string]*Searcher{
+		"built":        NewSearcher(seg, Options{}),
+		"reloaded":     NewSearcher(reloaded, Options{}),
+		"global-stats": NewSearcher(seg, Options{Stats: global}),
+	} {
+		bm, avg := seg.BM25(), s.avgDocLen()
+		for d := int32(0); d < int32(seg.NumDocs()); d++ {
+			for _, idf := range []float64{0.05, 1.3, 7.9} {
+				for _, freq := range []int32{1, 2, 5, 33} {
+					want := bm.Score(idf, freq, seg.DocLen(d), avg)
+					if got := bm.ScoreNorm(idf, freq, s.norms[d]); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s: doc %d idf %v freq %d: table scores %v, Score %v", name, d, idf, freq, got, want)
+					}
+				}
+			}
 		}
 	}
 }
