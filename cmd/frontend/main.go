@@ -126,6 +126,10 @@ func main() {
 	st := fe.ResilienceStats()
 	fmt.Printf("served %d queries: %d hedges (%.2f%% of sub-requests), %d retries, %d writes\n",
 		st.Queries, st.Hedges, st.HedgeRate*100, st.Retries, st.Writes)
+	if cs, ok := fe.CacheStats(); ok {
+		fmt.Printf("result cache: %d hits, %d misses (hit rate %.3f), %d rejected by admission, %d entries\n",
+			cs.Hits, cs.Misses, cs.HitRate(), cs.Rejected, cs.Len)
+	}
 	i := 0
 	for s, g := range groups {
 		for r, u := range g {

@@ -13,6 +13,7 @@ import (
 	"websearchbench/internal/live"
 	"websearchbench/internal/loadgen"
 	"websearchbench/internal/partition"
+	"websearchbench/internal/qcache"
 	"websearchbench/internal/search"
 	"websearchbench/internal/workload"
 )
@@ -558,5 +559,41 @@ func TestMetricsEndpoints(t *testing.T) {
 	fresp.Body.Close()
 	if mr.Search.Count != 1 || mr.Node != "frontend" {
 		t.Errorf("frontend metrics = %+v", mr)
+	}
+	if mr.Cache != nil {
+		t.Errorf("front-end without a cache reports cache counters %+v", mr.Cache)
+	}
+}
+
+// TestMetricsReportCache: a caching front-end's /metrics carries the
+// result cache's counters, admission rejections included.
+func TestMetricsReportCache(t *testing.T) {
+	fe, _, vocab := buildCluster(t, 2, 1)
+	fe.EnableCache(2) // one window slot, one main slot
+	ts := httptest.NewServer(fe.Handler())
+	defer ts.Close()
+	// w0 twice: a miss, then a hit. w1 pushes w0 from the window into the
+	// main LRU; w2 pushes w1 out of the window, and w1, asked once, loses
+	// to w0, asked twice.
+	for _, i := range []int{0, 0, 1, 2} {
+		body, _ := json.Marshal(SearchRequest{Query: vocab.Word(i)})
+		resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var mr MetricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&mr); err != nil {
+		t.Fatal(err)
+	}
+	want := qcache.Stats{Hits: 1, Misses: 3, Rejected: 1, Len: 2}
+	if mr.Cache == nil || *mr.Cache != want {
+		t.Errorf("cache metrics = %+v, want %+v", mr.Cache, want)
 	}
 }

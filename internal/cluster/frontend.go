@@ -223,23 +223,30 @@ func (f *Frontend) SetDrainTimeout(d time.Duration) { f.drain = d }
 // Handler returns the front-end's HTTP handler.
 func (f *Frontend) Handler() http.Handler { return f.mux }
 
-// EnableCache adds a generation-stamped LRU result cache of the given
-// capacity in front of the scatter/gather path. Call before serving
-// traffic. Only complete responses (every shard answered) are cached, so
-// a transient outage can never poison the cache with partial result
-// lists; a write routed through the front-end bumps the generation,
-// making every cached result unreachable.
+// EnableCache adds a generation-stamped, frequency-admitted (W-TinyLFU)
+// result cache of the given capacity in front of the scatter/gather path.
+// Call before serving traffic. Only complete responses (every shard
+// answered) are cached, so a transient outage can never poison the cache
+// with partial result lists; a write routed through the front-end bumps
+// the generation, making every cached result unreachable.
 func (f *Frontend) EnableCache(capacity int) {
 	f.cache = qcache.NewGenerational[[]byte](capacity)
+}
+
+// CacheStats reports the result cache's lifetime counters, and false
+// when no cache is enabled.
+func (f *Frontend) CacheStats() (qcache.Stats, bool) {
+	if f.cache == nil {
+		return qcache.Stats{}, false
+	}
+	return f.cache.Stats(), true
 }
 
 // CacheHitRate reports the result cache's lifetime hit rate (0 when no
 // cache is enabled).
 func (f *Frontend) CacheHitRate() float64 {
-	if f.cache == nil {
-		return 0
-	}
-	return f.cache.HitRate()
+	st, _ := f.CacheStats()
+	return st.HitRate()
 }
 
 // ResilienceStats summarizes the front-end's resilience counters.
@@ -828,14 +835,18 @@ func (f *Frontend) handleDeleteDoc(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics reports the front-end's end-to-end search-latency
-// histogram (scatter, gather, merge and cache hits included) plus
-// per-shard, per-replica balancer state.
+// histogram (scatter, gather, merge and cache hits included), the result
+// cache's counters and per-shard, per-replica balancer state.
 func (f *Frontend) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, MetricsResponse{
+	resp := MetricsResponse{
 		Node:    "frontend",
 		Search:  f.hist.Snapshot().JSON(),
 		Balance: f.BalanceStats(),
-	})
+	}
+	if st, ok := f.CacheStats(); ok {
+		resp.Cache = &st
+	}
+	writeJSON(w, resp)
 }
 
 // Start listens on addr and serves in the background, returning the bound

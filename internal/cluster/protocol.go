@@ -14,6 +14,7 @@ import (
 	"websearchbench/internal/blob"
 	"websearchbench/internal/live"
 	"websearchbench/internal/metrics"
+	"websearchbench/internal/qcache"
 	"websearchbench/internal/search"
 	"websearchbench/internal/search/exec"
 )
@@ -161,4 +162,7 @@ type MetricsResponse struct {
 	Exec    *exec.Stats         `json:"exec,omitempty"`
 	Blob    *BlobMetrics        `json:"blob,omitempty"`
 	Balance []ShardBalanceStats `json:"balance,omitempty"`
+	// Cache is the front-end result cache's counters; omitted by nodes
+	// and by a front-end without a cache.
+	Cache *qcache.Stats `json:"cache,omitempty"`
 }

@@ -1,19 +1,20 @@
 package qcache
 
 import (
-	"strconv"
 	"sync/atomic"
 )
 
 // Generational is a result cache whose entries are stamped with an index
 // generation: every lookup and insert carries the generation the result
-// was (or would be) computed against, and the stamp is mixed into the
-// cache key. A mutation that publishes a new index generation therefore
-// makes every previously cached result unreachable — without scanning or
-// flushing the cache — and the dead entries age out of the LRU under
-// normal traffic. This is how the engine's result cache stays correct in
-// front of the live (mutable) index: a result cached before a delete can
-// never be served after it, because the delete bumped the generation.
+// was (or would be) computed against, and an entry answers only lookups
+// at its own generation. A mutation that publishes a new index
+// generation therefore makes every previously cached result unreachable
+// — without scanning or flushing the cache — and a dead entry loses every
+// admission contest against a newer generation's, so dead entries leave
+// under normal traffic. This is how the engine's result cache stays
+// correct in front of the live (mutable) index: a result cached before a
+// delete can never be served after it, because the delete bumped the
+// generation.
 //
 // Callers with an external generation source (the live index's snapshot
 // generation) use GetAt/PutAt; callers without one can use the built-in
@@ -29,25 +30,14 @@ func NewGenerational[V any](capacity int) *Generational[V] {
 	return &Generational[V]{c: New[V](capacity)}
 }
 
-// stamp prefixes key with the generation. The '\x00' separator cannot
-// appear in the decimal prefix, so distinct (gen, key) pairs never
-// collide.
-func stamp(gen uint64, key string) string {
-	b := make([]byte, 0, 21+len(key))
-	b = strconv.AppendUint(b, gen, 10)
-	b = append(b, 0)
-	b = append(b, key...)
-	return string(b)
-}
-
 // GetAt returns the value cached for key at generation gen.
 func (g *Generational[V]) GetAt(gen uint64, key string) (V, bool) {
-	return g.c.Get(stamp(gen, key))
+	return g.c.get(gen, key)
 }
 
 // PutAt caches value for key at generation gen.
 func (g *Generational[V]) PutAt(gen uint64, key string, value V) {
-	g.c.Put(stamp(gen, key), value)
+	g.c.put(gen, key, value)
 }
 
 // Get looks key up at the built-in current generation.
@@ -71,6 +61,9 @@ func (g *Generational[V]) Generation() uint64 { return g.gen.Load() }
 
 // Len returns the number of entries currently held, reachable or not.
 func (g *Generational[V]) Len() int { return g.c.Len() }
+
+// Stats returns the underlying cache's lifetime counters.
+func (g *Generational[V]) Stats() Stats { return g.c.Stats() }
 
 // HitRate returns the underlying cache's lifetime hit rate.
 func (g *Generational[V]) HitRate() float64 { return g.c.HitRate() }

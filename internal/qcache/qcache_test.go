@@ -86,9 +86,8 @@ func TestStatsAndHitRate(t *testing.T) {
 	c.Get("a")
 	c.Get("a")
 	c.Get("zz")
-	h, m := c.Stats()
-	if h != 2 || m != 1 {
-		t.Errorf("Stats = %d/%d, want 2/1", h, m)
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("Stats = %d/%d, want 2/1", st.Hits, st.Misses)
 	}
 	if got := c.HitRate(); got < 0.66 || got > 0.67 {
 		t.Errorf("HitRate = %v", got)

@@ -59,9 +59,8 @@ func TestShardedStatsAggregate(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		c.Get(fmt.Sprintf("k%d", i)) // first 100 hit, rest miss
 	}
-	h, m := c.Stats()
-	if h != 100 || m != 100 {
-		t.Errorf("Stats = (%d, %d), want (100, 100)", h, m)
+	if st := c.Stats(); st.Hits != 100 || st.Misses != 100 {
+		t.Errorf("Stats = (%d, %d), want (100, 100)", st.Hits, st.Misses)
 	}
 	if r := c.HitRate(); r != 0.5 {
 		t.Errorf("HitRate = %v, want 0.5", r)
@@ -69,9 +68,9 @@ func TestShardedStatsAggregate(t *testing.T) {
 }
 
 // TestShardedEquivalentHitRate: on a Zipf-popular key stream, the
-// sharded cache's hit rate stays within a few points of a single global
-// LRU of the same capacity — striping trades exact global recency for
-// lock spread, not for hit rate.
+// sharded cache's hit rate stays within a few points of a single-shard
+// cache of the same capacity — striping trades one global window, main
+// LRU and sketch for lock spread, not for hit rate.
 func TestShardedEquivalentHitRate(t *testing.T) {
 	run := func(c *Cache[int]) float64 {
 		rng := rand.New(rand.NewSource(1))

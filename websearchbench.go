@@ -58,12 +58,12 @@ type Config struct {
 	// Positions stores term positions in the index, enabling quoted
 	// phrase queries ("tail latency").
 	Positions bool
-	// CacheSize, when positive, adds an LRU result cache in front of the
-	// engine: repeated queries (which dominate real web streams) are
-	// answered without touching the index. With Live the cache is
-	// generation-stamped: every published mutation batch starts a new
-	// generation, so a result cached before a delete is never served
-	// after it.
+	// CacheSize, when positive, adds a frequency-admitted (W-TinyLFU)
+	// result cache in front of the engine: repeated queries (which
+	// dominate real web streams) are answered without touching the
+	// index. With Live the cache is generation-stamped: every published
+	// mutation batch starts a new generation, so a result cached before a
+	// delete is never served after it.
 	CacheSize int
 	// Live routes the engine through a near-real-time mutable index
 	// (internal/live) seeded with the synthetic corpus: Add, Update and
