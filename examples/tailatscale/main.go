@@ -22,28 +22,17 @@ func main() {
 
 	ctx := experiments.NewContext(os.Stdout, 0.1)
 	fmt.Println("calibrating per-node service demands from the real engine...")
-	cal := ctx.Calibration()
 	node := simsrv.XeonLike()
 	qps := 0.4 * ctx.EffectiveCapacity(node, 1)
 
-	base := simsrv.ClusterConfig{
-		Node:               node,
-		PartitionsPerNode:  1,
-		Demands:            ctx.Demands(),
-		NodeImbalanceCV:    0.1,
-		PartitionOverhead:  cal.PartitionOverhead,
-		MergeBase:          cal.MergeBase,
-		MergePerPartition:  cal.MergePerPartition,
-		ImbalanceCV:        cal.ImbalanceCV,
-		ServerJitterProb:   0.05,
-		ServerJitterFactor: 10,
-		NetworkDelay:       0.0002,
-		FrontendMerge:      cal.MergeBase,
-		Open:               simsrv.OpenLoop{RateQPS: qps},
-		Warmup:             5,
-		Duration:           60,
-		Seed:               7,
-	}
+	base := ctx.SimulatorConfig(node, 1, 7)
+	base.NodeImbalanceCV = 0.1
+	base.ServerJitterProb = 0.05
+	base.ServerJitterFactor = 10
+	base.NetworkDelay = 0.0002
+	base.FrontendMerge = base.MergeBase
+	base.Open = &simsrv.OpenLoop{RateQPS: qps}
+	base.Warmup, base.Duration = 5, 60
 
 	fmt.Printf("\n1. fan-out amplifies the tail (per-node load fixed at %.0f qps):\n", qps)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -51,7 +40,7 @@ func main() {
 	for _, n := range []int{1, 4, 16, 64} {
 		cfg := base
 		cfg.Nodes = n
-		st, err := simsrv.RunCluster(cfg)
+		st, err := simsrv.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -73,7 +62,7 @@ func main() {
 		cfg.Nodes = 16
 		cfg.Replicas = 2
 		cfg.HedgeAfter = hedge.after
-		st, err := simsrv.RunCluster(cfg)
+		st, err := simsrv.Run(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

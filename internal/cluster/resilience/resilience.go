@@ -2,9 +2,9 @@
 // cluster path: per-query deadlines, hedged requests against stragglers,
 // jittered-exponential retries under a budget, per-node health tracking
 // with a circuit breaker, and a deterministic fault-injection middleware
-// for testing the whole stack under partial failure. The simulator
-// (internal/simsrv) assumes these mechanisms exist; this package makes the
-// real HTTP serving tier match the model.
+// for testing the whole stack under partial failure. The simulator's
+// fan-out runs (internal/simsrv) model hedging with a copy of this
+// package's rule; this package is what the real HTTP serving tier runs.
 package resilience
 
 import "time"

@@ -32,29 +32,17 @@ type E18Result struct {
 // and a too-eager deadline, showing the tail-vs-extra-work trade.
 func (c *Context) E18Hedging() E18Result {
 	node := simsrv.XeonLike()
-	cal := c.Calibration()
 	qps := 0.35 * c.EffectiveCapacity(node, 1) // headroom for hedge work
 	healthyP95 := 3 * c.MeanDemand()           // rough healthy tail for the deadline
-	base := simsrv.ClusterConfig{
-		Nodes:              16,
-		Replicas:           2,
-		Node:               node,
-		PartitionsPerNode:  1,
-		Demands:            c.Demands(),
-		NodeImbalanceCV:    0.1,
-		PartitionOverhead:  cal.PartitionOverhead,
-		MergeBase:          cal.MergeBase,
-		MergePerPartition:  cal.MergePerPartition,
-		ImbalanceCV:        cal.ImbalanceCV,
-		ServerJitterProb:   0.05,
-		ServerJitterFactor: 10,
-		NetworkDelay:       0.0002,
-		FrontendMerge:      cal.MergeBase,
-		Open:               simsrv.OpenLoop{RateQPS: qps},
-		Warmup:             c.SimDuration / 10,
-		Duration:           c.SimDuration,
-		Seed:               1100,
-	}
+	base := c.SimulatorConfig(node, 1, 1100)
+	base.Nodes = 16
+	base.Replicas = 2
+	base.NodeImbalanceCV = 0.1
+	base.ServerJitterProb = 0.05
+	base.ServerJitterFactor = 10
+	base.NetworkDelay = 0.0002
+	base.FrontendMerge = base.MergeBase
+	base.Open = &simsrv.OpenLoop{RateQPS: qps}
 	policies := []struct {
 		name  string
 		hedge float64
@@ -68,7 +56,7 @@ func (c *Context) E18Hedging() E18Result {
 	for i, pol := range policies {
 		cfg := base
 		cfg.HedgeAfter = pol.hedge
-		st, err := simsrv.RunCluster(cfg)
+		st, err := simsrv.Run(cfg)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: cluster sim failed: %v", err))
 		}
@@ -82,9 +70,9 @@ func (c *Context) E18Hedging() E18Result {
 			row.HedgeRate = float64(st.Hedged) / float64(st.Completed) / float64(base.Nodes)
 		}
 		if i == 0 {
-			baseUtil = st.MeanNodeUtilization
+			baseUtil = st.Utilization
 		}
-		row.ExtraUtil = (st.MeanNodeUtilization - baseUtil) * 100
+		row.ExtraUtil = (st.Utilization - baseUtil) * 100
 		res.Rows = append(res.Rows, row)
 	}
 	c.section("E18", "hedged requests on a replicated cluster (extension)")

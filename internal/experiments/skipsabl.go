@@ -30,9 +30,7 @@ func (c *Context) AblationSkipLists() ABL6Result {
 			}
 			and := q
 			and.Mode = search.ModeAnd
-			start := time.Now()
-			s.Search(and)
-			total += time.Since(start)
+			total += fastest(func() { s.Search(and) })
 			n++
 		}
 		if n == 0 {

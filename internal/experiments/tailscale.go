@@ -37,28 +37,16 @@ func (c *Context) E16TailAtScale() E16Result {
 	node := simsrv.XeonLike()
 	// Per-node load ~50% of node capacity, independent of N.
 	qps := 0.5 * c.EffectiveCapacity(node, 1)
-	cal := c.Calibration()
 	res := E16Result{OfferedQPS: qps}
 	var baseP50 time.Duration
 	for _, n := range []int{1, 4, 16, 64} {
-		cfg := simsrv.ClusterConfig{
-			Nodes:             n,
-			Node:              node,
-			PartitionsPerNode: 1,
-			Demands:           c.Demands(),
-			NodeImbalanceCV:   0.1,
-			PartitionOverhead: cal.PartitionOverhead,
-			MergeBase:         cal.MergeBase,
-			MergePerPartition: cal.MergePerPartition,
-			ImbalanceCV:       cal.ImbalanceCV,
-			NetworkDelay:      0.0002,
-			FrontendMerge:     cal.MergeBase,
-			Open:              simsrv.OpenLoop{RateQPS: qps},
-			Warmup:            c.SimDuration / 10,
-			Duration:          c.SimDuration,
-			Seed:              900 + int64(n),
-		}
-		st, err := simsrv.RunCluster(cfg)
+		cfg := c.SimulatorConfig(node, 1, 900+int64(n))
+		cfg.Nodes = n
+		cfg.NodeImbalanceCV = 0.1
+		cfg.NetworkDelay = 0.0002
+		cfg.FrontendMerge = cfg.MergeBase
+		cfg.Open = &simsrv.OpenLoop{RateQPS: qps}
+		st, err := simsrv.Run(cfg)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: cluster sim failed: %v", err))
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"websearchbench/internal/search"
 	"websearchbench/internal/search/exec"
@@ -27,6 +28,52 @@ func mutate(t *testing.T, li *Index) {
 		if err := li.Add(key, "t "+key, body, rng.Float64()); err != nil {
 			t.Fatal(err)
 		}
+	}
+	li.Refresh()
+}
+
+// settle runs the background flushes and merges to completion, then
+// deletes one live document of a segment that a single tombstone leaves
+// below the reclamation threshold. A merge drops the tombstones of the
+// segments it rewrites, so whether mutate's deletes survive depends on
+// how the background work interleaved; the extra delete guarantees the
+// snapshot has tombstones and makes no merge due. (Deletes do not wake
+// the merger, so settle wakes it while a merge is due.)
+func settle(t *testing.T, li *Index) {
+	t.Helper()
+	for {
+		li.mu.Lock()
+		li.waitFlushesLocked()
+		idle := !li.merging && li.planMergeLocked() == nil
+		li.mu.Unlock()
+		if idle {
+			break
+		}
+		li.wakeMerger()
+		time.Sleep(time.Millisecond)
+	}
+	li.mu.Lock()
+	key := ""
+	for _, ls := range li.segs {
+		if float64(ls.tomb.Count()+1) >= li.cfg.ReclaimFrac*float64(ls.seg.NumDocs()) {
+			continue
+		}
+		for i, k := range ls.keys {
+			if !ls.tomb.Has(int32(i)) && li.keyRefs[k] == (docRef{ls.id, int32(i)}) {
+				key = k
+				break
+			}
+		}
+		if key != "" {
+			break
+		}
+	}
+	li.mu.Unlock()
+	if key == "" {
+		t.Fatal("no segment can take a tombstone below the reclamation threshold")
+	}
+	if _, err := li.Delete(key); err != nil {
+		t.Fatal(err)
 	}
 	li.Refresh()
 }
@@ -77,6 +124,7 @@ func TestParallelSnapshotSearchIdentical(t *testing.T) {
 	li := NewIndex(Config{MemtableMaxDocs: 32, Parallel: true, Executor: pool})
 	defer li.Close()
 	mutate(t, li)
+	settle(t, li)
 
 	snap := li.Acquire()
 	defer snap.Release()

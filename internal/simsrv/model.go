@@ -1,10 +1,16 @@
-// Package simsrv is a discrete-event simulator of an index-serving server:
-// k cores of a given speed, an FCFS run queue, and fork-join execution of
-// intra-server index partitions. The paper's partitioning and low-power
-// studies are queueing-theoretic — fork-join shortens a slow query's
-// critical path; many slow cores trade service time for parallelism — and
-// the simulator reproduces exactly that math, driven by per-query service
-// demands measured on the real Go engine (see Calibrate).
+// Package simsrv is a discrete-event simulator of index serving: k cores
+// of a given speed, a run queue, and fork-join execution of intra-server
+// index partitions. The paper's partitioning and low-power studies are
+// queueing-theoretic — fork-join shortens a slow query's critical path;
+// many slow cores trade service time for parallelism — and the simulator
+// reproduces exactly that math, driven by per-query service demands
+// measured on the real Go engine (see Calibrate).
+//
+// The same engine runs the cluster extensions: a front-end scatters each
+// query to Config.Nodes such servers (optionally replicated, hedged and
+// jittered) and answers when the slowest responds. A one-server run is
+// the degenerate fan-out of one node with no front-end costs; one event
+// loop and one Stats serve both.
 //
 // This substitutes for the paper's physical Xeon-class and Atom-class
 // testbeds, which this reproduction cannot access (and whose multicore
@@ -38,16 +44,6 @@ func XeonLike() ServerModel {
 // times.
 func AtomLike() ServerModel {
 	return ServerModel{Name: "atom-like", Cores: 8, SpeedFactor: 0.3}
-}
-
-func (m ServerModel) validate() error {
-	if m.Cores <= 0 {
-		return fmt.Errorf("simsrv: Cores = %d, must be positive", m.Cores)
-	}
-	if m.SpeedFactor <= 0 {
-		return fmt.Errorf("simsrv: SpeedFactor = %v, must be positive", m.SpeedFactor)
-	}
-	return nil
 }
 
 // Discipline selects how queued tasks are ordered for dispatch.
@@ -98,6 +94,7 @@ type ClosedLoop struct {
 
 // Config parameterizes one simulation run.
 type Config struct {
+	// Server is the hardware model of every node.
 	Server ServerModel
 	// Partitions is the intra-server partition count P: each query forks
 	// into P subtasks followed by a merge task.
@@ -135,21 +132,65 @@ type Config struct {
 	// in Stats.Latencies (for CDF figures). Off by default to keep large
 	// sweeps cheap.
 	CollectLatencies bool
+
+	// Nodes is the shard count a front-end fans each query out to; the
+	// query answers when its slowest shard has. Every node is a Server
+	// with Partitions-way fork-join, and Demands is per-node work (each
+	// node holds a fixed-size shard, so per-node work does not shrink as
+	// nodes are added). 0 means 1. The fan-out fields below all default
+	// to off: at their zero values a run is one server, no front-end.
+	Nodes int
+	// Replicas is the number of servers per shard (0 means 1). Each shard
+	// dispatch goes to one replica, chosen uniformly.
+	Replicas int
+	// HedgeAfter, when positive, re-dispatches a shard still unanswered
+	// after this many seconds to the next replica — the hedged-request
+	// mitigation for fan-out tails. The first response wins; the loser's
+	// work still occupies its server. Requires Replicas >= 2.
+	HedgeAfter float64
+	// NodeImbalanceCV spreads one query's demand across shards: shard
+	// n's work is the sampled demand times max(0.05, 1+cv*N(0,1)).
+	NodeImbalanceCV float64
+	// ServerJitterProb is the probability that one shard dispatch lands
+	// on a transiently slow server (GC pause, co-located interference),
+	// where its work runs ServerJitterFactor times slower. The slowdown
+	// is independent across dispatches — the failure mode hedging masks.
+	ServerJitterProb   float64
+	ServerJitterFactor float64
+	// NetworkDelay is the one-way front-end<->node latency, charged twice
+	// per query, and FrontendMerge the front-end's merge time, both in
+	// seconds and both fixed delays: the front-end tier is provisioned
+	// never to be the bottleneck.
+	NetworkDelay  float64
+	FrontendMerge float64
 }
 
 func (c Config) validate() error {
-	if err := c.Server.validate(); err != nil {
-		return err
-	}
 	switch {
+	case c.Server.Cores <= 0:
+		return fmt.Errorf("simsrv: Cores = %d, must be positive", c.Server.Cores)
+	case c.Server.SpeedFactor <= 0:
+		return fmt.Errorf("simsrv: SpeedFactor = %v, must be positive", c.Server.SpeedFactor)
 	case c.Partitions <= 0:
 		return fmt.Errorf("simsrv: Partitions = %d, must be positive", c.Partitions)
+	case c.Nodes < 0 || c.Replicas < 0:
+		return fmt.Errorf("simsrv: negative Nodes or Replicas")
 	case len(c.Demands) == 0:
 		return fmt.Errorf("simsrv: empty demand distribution")
 	case c.PartitionOverhead < 0 || c.MergeBase < 0 || c.MergePerPartition < 0:
 		return fmt.Errorf("simsrv: negative overhead")
-	case c.ImbalanceCV < 0:
-		return fmt.Errorf("simsrv: negative ImbalanceCV")
+	case c.ImbalanceCV < 0 || c.NodeImbalanceCV < 0:
+		return fmt.Errorf("simsrv: negative imbalance")
+	case c.NetworkDelay < 0 || c.FrontendMerge < 0:
+		return fmt.Errorf("simsrv: negative front-end cost")
+	case c.HedgeAfter < 0:
+		return fmt.Errorf("simsrv: negative HedgeAfter")
+	case c.HedgeAfter > 0 && c.Replicas < 2:
+		return fmt.Errorf("simsrv: hedging requires Replicas >= 2")
+	case c.ServerJitterProb < 0 || c.ServerJitterProb > 1:
+		return fmt.Errorf("simsrv: ServerJitterProb out of [0,1]")
+	case c.ServerJitterProb > 0 && c.ServerJitterFactor < 1:
+		return fmt.Errorf("simsrv: ServerJitterFactor must be >= 1")
 	case c.Discipline != FCFS && c.Discipline != SJF:
 		return fmt.Errorf("simsrv: unknown discipline %v", c.Discipline)
 	case c.Duration <= 0:

@@ -1,7 +1,6 @@
 package simsrv
 
 import (
-	"container/heap"
 	"math"
 	"math/rand"
 	"time"
@@ -11,17 +10,23 @@ import (
 
 // Stats summarizes one simulation run over the measurement window.
 type Stats struct {
+	// Latency is the end-to-end response time: for a fan-out run, the
+	// slowest shard plus network and front-end merge.
 	Latency metrics.Snapshot
+	// NodeLatency is the distribution of per-node response times (node
+	// queueing plus service), one sample per shard, before the fan-out
+	// max. For a one-server run it equals Latency.
+	NodeLatency metrics.Snapshot
 	// Completed counts queries that both arrived and completed inside
 	// the measurement window.
 	Completed int64
 	// Throughput is Completed divided by the window length (QPS).
 	Throughput float64
 	// Utilization is busy core-time divided by total core-time in the
-	// window, in [0, 1].
+	// window over all nodes, in [0, 1].
 	Utilization float64
 	// MeanQueueLen is the time-averaged number of tasks waiting for a
-	// core (not including running tasks).
+	// core (not including running tasks), summed over nodes.
 	MeanQueueLen float64
 	// MeanInFlight is the time-averaged number of queries in the system.
 	MeanInFlight float64
@@ -32,97 +37,112 @@ type Stats struct {
 	// seconds) when Config.CollectLatencies is set, for time-bucketed
 	// analyses like the diurnal QoS study.
 	ArrivalTimes []float64
+	// Hedged counts duplicate shard dispatches issued by hedging.
+	Hedged int64
 }
 
 // event kinds.
 const (
 	evArrival = iota
 	evTaskDone
+	evHedge     // q, shard: re-dispatch the shard if still unanswered
+	evQueryDone // q: the front-end answers after network and merge
 )
 
-type task struct {
-	q       *query
-	demand  float64 // reference-core seconds
-	isMerge bool
-	seq     int64 // queue-arrival order, for deterministic SJF ties
+type query struct {
+	arrive float64
+	shards []shard
+	left   int // shards not yet answered
 }
 
-type query struct {
-	arrive    float64
-	remaining int  // subtasks outstanding
-	merged    bool // merge task already issued
+// shard is one node's part of a query.
+type shard struct {
+	demand  float64 // sampled work, reused by a hedged re-dispatch
+	replica int     // replica of the latest dispatch
+	done    bool
+}
+
+// attempt is one dispatch of a shard's work to one replica: P partition
+// subtasks followed by a merge task.
+type attempt struct {
+	q         *query
+	shard     int
+	remaining int // subtasks outstanding
+}
+
+type task struct {
+	at      *attempt
+	node    int
+	demand  float64 // reference-core seconds
+	isMerge bool
 }
 
 type event struct {
-	t    float64
-	seq  int64 // tie-break for determinism
-	kind int
-	task *task // for evTaskDone
+	kind  int
+	task  *task
+	q     *query
+	shard int
 }
 
-type eventHeap []event
+// minHeap is a binary min-heap ordered by (key, seq). Every seq is
+// unique, so the order is total and a run is deterministic. It holds the
+// event queue (key: time) and each node's SJF run queue (key: demand,
+// ties served in queue-arrival order).
+type minHeap[T any] []heapItem[T]
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
+type heapItem[T any] struct {
+	key float64
+	seq int64
+	v   T
+}
+
+func (h minHeap[T]) less(i, j int) bool {
+	return h[i].key < h[j].key || h[i].key == h[j].key && h[i].seq < h[j].seq
+}
+
+func (h *minHeap[T]) push(key float64, seq int64, v T) {
+	*h = append(*h, heapItem[T]{key, seq, v})
+	e := *h
+	for i := len(e) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !e.less(i, p) {
+			break
+		}
+		e[i], e[p] = e[p], e[i]
+		i = p
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); x := old[n-1]; *h = old[:n-1]; return x }
-
-// taskQueue holds runnable tasks in the configured dispatch order.
-type taskQueue struct {
-	d    Discipline
-	fifo []*task
-	heap sjfHeap
 }
 
-func (q *taskQueue) push(t *task) {
-	if q.d == SJF {
-		heap.Push(&q.heap, t)
-		return
+func (h *minHeap[T]) pop() (float64, T) {
+	e := *h
+	top, n := e[0], len(e)-1
+	e[0] = e[n]
+	e = e[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && e.less(c+1, c) {
+			c++
+		}
+		if !e.less(c, i) {
+			break
+		}
+		e[i], e[c] = e[c], e[i]
+		i = c
 	}
-	q.fifo = append(q.fifo, t)
+	*h = e
+	return top.key, top.v
 }
 
-func (q *taskQueue) pop() *task {
-	if q.d == SJF {
-		return heap.Pop(&q.heap).(*task)
-	}
-	t := q.fifo[0]
-	q.fifo = q.fifo[1:]
-	return t
-}
-
-func (q *taskQueue) len() int {
-	if q.d == SJF {
-		return len(q.heap)
-	}
-	return len(q.fifo)
-}
-
-// sjfHeap orders tasks by demand, breaking ties by arrival sequence for
-// determinism.
-type sjfHeap []*task
-
-func (h sjfHeap) Len() int { return len(h) }
-func (h sjfHeap) Less(i, j int) bool {
-	if h[i].demand != h[j].demand {
-		return h[i].demand < h[j].demand
-	}
-	return h[i].seq < h[j].seq
-}
-func (h sjfHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *sjfHeap) Push(x any)   { *h = append(*h, x.(*task)) }
-func (h *sjfHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// node is one server: cores and a run queue, which is fifo under FCFS
+// and sjf under SJF.
+type node struct {
+	fifo      []*task
+	sjf       minHeap[*task]
+	freeCores int
+	busy      float64 // window-clamped busy core-time
 }
 
 // sim is the simulation state.
@@ -130,23 +150,23 @@ type sim struct {
 	cfg Config
 	rng *rand.Rand
 
-	events eventHeap
+	events minHeap[event]
 	seq    int64
 	now    float64
 
-	runq      taskQueue
-	freeCores int
-
-	inFlight int // queries in system
+	nodes    []node // replica r of shard n is nodes[n*Replicas+r]
+	queued   int    // tasks waiting across all nodes
+	inFlight int    // queries in system
+	weights  []float64
 
 	// accumulators (measurement window only)
 	winStart, winEnd float64
-	busy             float64
 	queueArea        float64
 	inFlightArea     float64
 	lastT            float64
-	hist             metrics.Histogram
+	hist, nodeHist   metrics.Histogram
 	completed        int64
+	hedged           int64
 	latencies        []time.Duration
 	arrivals         []float64
 }
@@ -156,14 +176,18 @@ func Run(cfg Config) (Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return Stats{}, err
 	}
+	cfg.Nodes, cfg.Replicas = max(cfg.Nodes, 1), max(cfg.Replicas, 1)
 	s := &sim{
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		runq:      taskQueue{d: cfg.Discipline},
-		freeCores: cfg.Server.Cores,
-		winStart:  cfg.Warmup,
-		winEnd:    cfg.Warmup + cfg.Duration,
-		lastT:     cfg.Warmup,
+		cfg:      cfg,
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		nodes:    make([]node, cfg.Nodes*cfg.Replicas),
+		weights:  make([]float64, cfg.Partitions),
+		winStart: cfg.Warmup,
+		winEnd:   cfg.Warmup + cfg.Duration,
+		lastT:    cfg.Warmup,
+	}
+	for i := range s.nodes {
+		s.nodes[i] = node{freeCores: cfg.Server.Cores}
 	}
 	s.seed()
 	s.loop()
@@ -173,7 +197,7 @@ func Run(cfg Config) (Stats, error) {
 // seed schedules the initial arrivals.
 func (s *sim) seed() {
 	if s.cfg.Open != nil {
-		s.schedule(s.nextGap(), evArrival, nil)
+		s.schedule(s.nextGap(), event{kind: evArrival})
 		return
 	}
 	for i := 0; i < s.cfg.Closed.Clients; i++ {
@@ -183,23 +207,13 @@ func (s *sim) seed() {
 		if s.cfg.Closed.MeanThink > 0 {
 			t = s.rng.Float64() * s.cfg.Closed.MeanThink
 		}
-		s.schedule(t, evArrival, nil)
+		s.schedule(t, event{kind: evArrival})
 	}
 }
 
-// rateAt returns the instantaneous arrival rate at simulated time t.
-func (s *sim) rateAt(t float64) float64 {
-	o := s.cfg.Open
-	if o.Diurnal == nil {
-		return o.RateQPS
-	}
-	// Sinusoid from trough (t=0) to peak at half period.
-	frac := 0.5 - 0.5*math.Cos(2*math.Pi*t/o.Diurnal.Period)
-	return o.RateQPS + (o.Diurnal.PeakQPS-o.RateQPS)*frac
-}
-
-// nextGap samples the next inter-arrival gap from s.now. Time-varying
-// rates use Lewis-Shedler thinning against the peak rate.
+// nextGap samples the next inter-arrival gap from s.now. The diurnal
+// rate, a sinusoid from the trough at t=0 to the peak at half period, is
+// sampled by Lewis-Shedler thinning against the peak rate.
 func (s *sim) nextGap() float64 {
 	o := s.cfg.Open
 	if o.Diurnal == nil {
@@ -209,114 +223,193 @@ func (s *sim) nextGap() float64 {
 	t := s.now
 	for {
 		t += s.rng.ExpFloat64() / peak
-		if s.rng.Float64() <= s.rateAt(t)/peak {
+		frac := 0.5 - 0.5*math.Cos(2*math.Pi*t/o.Diurnal.Period)
+		if s.rng.Float64() <= (o.RateQPS+(peak-o.RateQPS)*frac)/peak {
 			return t - s.now
 		}
 	}
 }
 
-func (s *sim) schedule(t float64, kind int, tk *task) {
+func (s *sim) schedule(t float64, ev event) {
 	s.seq++
-	heap.Push(&s.events, event{t: t, seq: s.seq, kind: kind, task: tk})
+	s.events.push(t, s.seq, ev)
 }
 
 // integrate advances the time-weighted accumulators to time t.
 func (s *sim) integrate(t float64) {
-	lo := math.Max(s.lastT, s.winStart)
-	hi := math.Min(t, s.winEnd)
+	lo := max(s.lastT, s.winStart)
+	hi := min(t, s.winEnd)
 	if hi > lo {
-		s.queueArea += float64(s.runq.len()) * (hi - lo)
+		s.queueArea += float64(s.queued) * (hi - lo)
 		s.inFlightArea += float64(s.inFlight) * (hi - lo)
 	}
 	s.lastT = t
 }
 
 func (s *sim) loop() {
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(event)
-		if ev.t > s.winEnd {
-			s.integrate(s.winEnd)
-			return
+	for len(s.events) > 0 {
+		t, ev := s.events.pop()
+		if t > s.winEnd {
+			break
 		}
-		s.integrate(ev.t)
-		s.now = ev.t
+		s.integrate(t)
+		s.now = t
+		// Between events no node has both a free core and a waiting task,
+		// so only the nodes an event touched need dispatching.
 		switch ev.kind {
 		case evArrival:
 			s.arrive()
+			for i := range s.nodes {
+				s.dispatch(&s.nodes[i])
+			}
 		case evTaskDone:
 			s.taskDone(ev.task)
+			s.dispatch(&s.nodes[ev.task.node])
+		case evHedge:
+			s.hedge(ev.q, ev.shard)
+		case evQueryDone:
+			s.complete(ev.q)
 		}
-		s.dispatch()
 	}
 	s.integrate(s.winEnd)
 }
 
-// arrive creates a query's fork-join task set and, for open loops,
-// schedules the next arrival.
+// arrive scatters a query to one replica of every shard and, for open
+// loops, schedules the next arrival.
 func (s *sim) arrive() {
 	if s.cfg.Open != nil {
-		s.schedule(s.now+s.nextGap(), evArrival, nil)
+		s.schedule(s.now+s.nextGap(), event{kind: evArrival})
 	}
 	w := s.cfg.Demands[s.rng.Intn(len(s.cfg.Demands))]
-	p := s.cfg.Partitions
-	q := &query{arrive: s.now, remaining: p}
+	q := &query{arrive: s.now, shards: make([]shard, s.cfg.Nodes), left: s.cfg.Nodes}
 	s.inFlight++
-	// Split total work across partitions with configurable imbalance.
+	for n := range q.shards {
+		sh := &q.shards[n]
+		sh.demand = w
+		if s.cfg.NodeImbalanceCV > 0 {
+			sh.demand *= max(0.05, 1+s.cfg.NodeImbalanceCV*s.rng.NormFloat64())
+		}
+		if s.cfg.Replicas > 1 {
+			sh.replica = s.rng.Intn(s.cfg.Replicas)
+		}
+		s.dispatchShard(q, n)
+		if s.cfg.HedgeAfter > 0 {
+			s.schedule(s.now+s.cfg.HedgeAfter, event{kind: evHedge, q: q, shard: n})
+		}
+	}
+}
+
+// dispatchShard forks shard n's work into P subtasks queued on its
+// current replica, and returns that node.
+func (s *sim) dispatchShard(q *query, n int) *node {
+	sh := &q.shards[n]
+	p := s.cfg.Partitions
+	at := &attempt{q: q, shard: n, remaining: p}
+	// Split the work across partitions with configurable imbalance.
 	// Noisy weights are normalized so the shares always sum to one: the
 	// imbalance redistributes work between partitions without changing
-	// the query's total demand.
-	weights := make([]float64, p)
+	// the shard's total demand.
 	sum := 0.0
-	for i := range weights {
+	for i := range s.weights {
 		wt := 1.0
 		if s.cfg.ImbalanceCV > 0 && p > 1 {
-			wt = math.Max(0.05, 1+s.cfg.ImbalanceCV*s.rng.NormFloat64())
+			wt = max(0.05, 1+s.cfg.ImbalanceCV*s.rng.NormFloat64())
 		}
-		weights[i] = wt
+		s.weights[i] = wt
 		sum += wt
 	}
-	for i := 0; i < p; i++ {
-		share := weights[i] / sum
-		s.seq++
-		s.runq.push(&task{q: q, demand: w*share + s.cfg.PartitionOverhead, seq: s.seq})
+	// Transient server-side slowdown, independent per dispatch.
+	jitter := 1.0
+	if s.cfg.ServerJitterProb > 0 && s.rng.Float64() < s.cfg.ServerJitterProb {
+		jitter = s.cfg.ServerJitterFactor
 	}
+	node := n*s.cfg.Replicas + sh.replica
+	tasks := make([]task, p)
+	for i, wt := range s.weights {
+		share := wt / sum
+		tasks[i] = task{at: at, demand: (sh.demand*share + s.cfg.PartitionOverhead) * jitter}
+		s.push(node, &tasks[i])
+	}
+	return &s.nodes[node]
+}
+
+// push queues a task on a node.
+func (s *sim) push(node int, t *task) {
+	s.seq++
+	t.node = node
+	if n := &s.nodes[node]; s.cfg.Discipline == SJF {
+		n.sjf.push(t.demand, s.seq, t)
+	} else {
+		n.fifo = append(n.fifo, t)
+	}
+	s.queued++
+}
+
+// hedge re-dispatches a still-unanswered shard to its next replica.
+func (s *sim) hedge(q *query, n int) {
+	sh := &q.shards[n]
+	if sh.done {
+		return
+	}
+	s.hedged++
+	sh.replica = (sh.replica + 1) % s.cfg.Replicas
+	s.dispatch(s.dispatchShard(q, n))
 }
 
 // taskDone handles a subtask or merge completion.
 func (s *sim) taskDone(t *task) {
-	s.freeCores++
-	q := t.q
-	if t.isMerge {
-		s.complete(q)
+	s.nodes[t.node].freeCores++
+	at := t.at
+	if at.q.shards[at.shard].done {
+		return // another replica already answered; this work is wasted
+	}
+	if !t.isMerge {
+		at.remaining--
+		if at.remaining > 0 {
+			return
+		}
+		// All partition subtasks done: issue the merge task (even for P=1
+		// the engine assembles results, but its cost is folded into the
+		// demand measurement, so skip the merge at P=1).
+		p := s.cfg.Partitions
+		if demand := s.cfg.MergeBase + s.cfg.MergePerPartition*float64(p); p > 1 && demand > 0 {
+			s.push(t.node, &task{at: at, demand: demand, isMerge: true})
+			return
+		}
+	}
+	s.shardDone(at.q, at.shard)
+}
+
+// shardDone records a shard's first response; the last shard completes
+// the query, after the front-end's network and merge delays if any.
+func (s *sim) shardDone(q *query, n int) {
+	q.shards[n].done = true
+	if s.inWindow(q) {
+		s.nodeHist.Record(s.since(q))
+	}
+	q.left--
+	if q.left > 0 {
 		return
 	}
-	q.remaining--
-	if q.remaining > 0 {
+	if s.cfg.NetworkDelay > 0 || s.cfg.FrontendMerge > 0 {
+		s.schedule(s.now+2*s.cfg.NetworkDelay+s.cfg.FrontendMerge, event{kind: evQueryDone, q: q})
 		return
 	}
-	// All partition subtasks done: issue the merge task (even for P=1 the
-	// engine assembles results, but its cost is folded into the demand
-	// measurement, so skip the merge at P=1).
-	if s.cfg.Partitions == 1 || q.merged {
-		s.complete(q)
-		return
-	}
-	q.merged = true
-	demand := s.cfg.MergeBase + s.cfg.MergePerPartition*float64(s.cfg.Partitions)
-	if demand <= 0 {
-		s.complete(q)
-		return
-	}
-	s.seq++
-	s.runq.push(&task{q: q, demand: demand, isMerge: true, seq: s.seq})
+	s.complete(q)
+}
+
+func (s *sim) inWindow(q *query) bool { return q.arrive >= s.winStart && s.now <= s.winEnd }
+
+func (s *sim) since(q *query) time.Duration {
+	return time.Duration((s.now - q.arrive) * float64(time.Second))
 }
 
 // complete finishes a query: record latency, count it, and for closed
 // loops schedule the client's next arrival after a think time.
 func (s *sim) complete(q *query) {
 	s.inFlight--
-	if q.arrive >= s.winStart && s.now <= s.winEnd {
-		lat := time.Duration((s.now - q.arrive) * float64(time.Second))
+	if s.inWindow(q) {
+		lat := s.since(q)
 		s.hist.Record(lat)
 		s.completed++
 		if s.cfg.CollectLatencies {
@@ -329,40 +422,48 @@ func (s *sim) complete(q *query) {
 		if s.cfg.Closed.MeanThink > 0 {
 			think = s.rng.ExpFloat64() * s.cfg.Closed.MeanThink
 		}
-		s.schedule(s.now+think, evArrival, nil)
+		s.schedule(s.now+think, event{kind: evArrival})
 	}
 }
 
-// dispatch assigns queued tasks to free cores (FCFS).
-func (s *sim) dispatch() {
-	for s.freeCores > 0 && s.runq.len() > 0 {
-		t := s.runq.pop()
-		s.freeCores--
-		exec := t.demand / s.cfg.Server.SpeedFactor
-		end := s.now + exec
-		// Busy-time contribution clamped to the measurement window.
-		lo := math.Max(s.now, s.winStart)
-		hi := math.Min(end, s.winEnd)
-		if hi > lo {
-			s.busy += hi - lo
+// dispatch assigns a node's queued tasks to its free cores.
+func (s *sim) dispatch(n *node) {
+	for n.freeCores > 0 && len(n.fifo)+len(n.sjf) > 0 {
+		var t *task
+		if len(n.fifo) > 0 {
+			t, n.fifo = n.fifo[0], n.fifo[1:]
+		} else {
+			_, t = n.sjf.pop()
 		}
-		s.schedule(end, evTaskDone, t)
+		s.queued--
+		n.freeCores--
+		end := s.now + t.demand/s.cfg.Server.SpeedFactor
+		// Busy-time contribution clamped to the measurement window.
+		lo := max(s.now, s.winStart)
+		hi := min(end, s.winEnd)
+		if hi > lo {
+			n.busy += hi - lo
+		}
+		s.schedule(end, event{kind: evTaskDone, task: t})
 	}
 }
 
 func (s *sim) stats() Stats {
-	st := Stats{
+	var busy float64
+	for i := range s.nodes {
+		busy += s.nodes[i].busy
+	}
+	d := s.cfg.Duration
+	return Stats{
 		Latency:      s.hist.Snapshot(),
+		NodeLatency:  s.nodeHist.Snapshot(),
 		Completed:    s.completed,
+		Throughput:   float64(s.completed) / d,
+		Utilization:  busy / (d * float64(s.cfg.Server.Cores) * float64(len(s.nodes))),
+		MeanQueueLen: s.queueArea / d,
+		MeanInFlight: s.inFlightArea / d,
 		Latencies:    s.latencies,
 		ArrivalTimes: s.arrivals,
+		Hedged:       s.hedged,
 	}
-	if s.cfg.Duration > 0 {
-		st.Throughput = float64(s.completed) / s.cfg.Duration
-		coreTime := s.cfg.Duration * float64(s.cfg.Server.Cores)
-		st.Utilization = s.busy / coreTime
-		st.MeanQueueLen = s.queueArea / s.cfg.Duration
-		st.MeanInFlight = s.inFlightArea / s.cfg.Duration
-	}
-	return st
 }
