@@ -85,7 +85,7 @@ func printStats(seg *index.Segment, topN int) {
 	fmt.Fprintf(w, "postings\t%d\n", st.TotalPostings)
 	fmt.Fprintf(w, "term occurrences\t%d\n", st.TotalTermOccs)
 	fmt.Fprintf(w, "avg doc length\t%.1f terms\n", st.AvgDocLen)
-	fmt.Fprintf(w, "compression\t%s (%.2fx vs raw)\n", st.Encoding, st.CompressionRatio)
+	fmt.Fprintf(w, "compression\t%.2fx vs raw\n", st.CompressionRatio)
 	fmt.Fprintf(w, "positional\t%v\n", seg.HasPositions())
 	fmt.Fprintf(w, "postings bytes\t%d\n", st.PostingsBytes)
 	fmt.Fprintf(w, "doc store bytes\t%d\n", st.StoredBytes)

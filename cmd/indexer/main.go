@@ -17,8 +17,7 @@
 // path (memtable, flushes, tiered merges) and compacted to a single
 // segment before serialization — exercising exactly the machinery a
 // live searchd node runs, and proving the two paths produce equivalent
-// on-disk indexes. Live segments use packed compression and carry no
-// positions.
+// on-disk indexes. Live segments carry no positions.
 //
 // With -publish the finished segment is also uploaded to a blob store
 // (a blobd URL or a shared directory) and committed as a manifest
@@ -89,7 +88,6 @@ func main() {
 		vocab    = flag.Int("vocab", 30000, "vocabulary size")
 		meanLen  = flag.Int("meanlen", 250, "mean document length in terms")
 		seed     = flag.Int64("seed", 1, "corpus seed")
-		encoding = flag.String("encoding", "packed", "posting-list encoding: packed, varint or raw")
 		liveMode = flag.Bool("live", false, "build through the live-ingest path, then compact")
 		out      = flag.String("out", "index.seg", "output segment file")
 		publish  = flag.String("publish", "", "also publish the segment to this blob store (blobd URL or directory)")
@@ -109,21 +107,8 @@ func main() {
 	cfg.MeanBodyTerms = *meanLen
 	cfg.Seed = *seed
 
-	var opts []index.BuilderOption
-	switch *encoding {
-	case "packed": // the builder default
-	case "varint":
-		opts = append(opts, index.WithCompression(index.CompressionVarint))
-	case "raw":
-		opts = append(opts, index.WithCompression(index.CompressionRaw))
-	default:
-		log.Fatalf("unknown -encoding %q (want packed, varint or raw)", *encoding)
-	}
 	var seg *index.Segment
 	if *liveMode {
-		if *encoding != "packed" {
-			log.Fatalf("-live only supports the packed encoding (got %q)", *encoding)
-		}
 		gen, err := corpus.NewGenerator(cfg)
 		if err != nil {
 			log.Fatal(err)
@@ -148,10 +133,9 @@ func main() {
 			log.Fatal(err)
 		}
 		p := pipeline.New(pipeline.Config{
-			Workers:        *workers,
-			SegmentDocs:    *segDocs,
-			Compact:        true,
-			BuilderOptions: opts,
+			Workers:     *workers,
+			SegmentDocs: *segDocs,
+			Compact:     true,
 		})
 		stopProgress := startProgress(p, *progress)
 		// Stream generated documents through a bounded channel: generation
@@ -189,8 +173,8 @@ func main() {
 		log.Fatal(err)
 	}
 	st := seg.ComputeStats(5)
-	fmt.Printf("wrote %s: %d docs, %d terms, %d postings, %d bytes (%s, compression %.2fx)\n",
-		*out, st.NumDocs, st.NumTerms, st.TotalPostings, n, st.Encoding, st.CompressionRatio)
+	fmt.Printf("wrote %s: %d docs, %d terms, %d postings, %d bytes (compression %.2fx)\n",
+		*out, st.NumDocs, st.NumTerms, st.TotalPostings, n, st.CompressionRatio)
 
 	if *publish != "" {
 		bst, err := blob.Open(*publish)

@@ -10,7 +10,7 @@ import (
 // residency is one skipInterval-long block (or a whole short list),
 // however many of them one ranged read brought in. The cache is
 // byte-budgeted, not entry-budgeted — block sizes vary by two orders of
-// magnitude between width-0 packed blocks and positional varint runs —
+// magnitude between width-0 packed blocks and positions streams —
 // and striped into shards (same pattern as the query cache in
 // internal/qcache) so that concurrent query threads on different terms
 // do not serialize on one mutex.

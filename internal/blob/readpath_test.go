@@ -65,7 +65,9 @@ func orQuery(terms ...string) search.Query {
 // segment, all in flight together, so it takes about one store latency
 // and not k; its warm repeat reads nothing. A pruned OR reads a list it
 // walks in a doubling window and never the blocks it skips: O(log n)
-// reads and strictly fewer bytes than the exhaustive evaluation.
+// reads and strictly fewer bytes than the exhaustive evaluation. A cold
+// phrase query is planned like the exhaustive OR: every list it touches,
+// positions streams included, in one round of at most one read per list.
 func TestQueryPlanRoundTrips(t *testing.T) {
 	seg := plannedSegment()
 	exhaustive := search.Options{TopK: 10}
@@ -119,6 +121,44 @@ func TestQueryPlanRoundTrips(t *testing.T) {
 	if stats := src.Stats(); stats.BlocksFetched >= blocks || stats.Misses > stats.BlocksFetched {
 		t.Errorf("pruned stats %+v: want fewer than %d blocks read and no more needed than read", stats, blocks)
 	}
+
+	pos := phraseSegment()
+	st, _, lazy = openPlanned(t, pos)
+	st.Latency = latency
+	remote = search.NewSearcher(lazy, exhaustive)
+	qp := search.ParseQuery(remote.Options().Analyzer, `"alpha beta" gamma`, search.ModeOr)
+	want = search.NewSearcher(pos, exhaustive).Search(qp)
+	if len(want.Hits) == 0 {
+		t.Fatal("phrase query matches nothing on the resident segment")
+	}
+	before, start = st.Counters(), time.Now()
+	got = remote.Search(qp)
+	elapsed, after = time.Since(start), st.Counters()
+	sameResults(t, "cold phrase", want, got)
+	if n := after.GetRanges - before.GetRanges; n < 1 || n > 3 {
+		t.Errorf("cold phrase query over 3 lists issued %d ranged reads, want 1..3", n)
+	}
+	if elapsed >= 2*latency {
+		t.Errorf("cold phrase query took %v at %v per read: the reads did not overlap", elapsed, latency)
+	}
+}
+
+// phraseSegment is a positional segment of 3000 documents in which
+// "alpha" and "beta" (every document) are adjacent in that order in
+// every other one and "gamma" is in every third: three multi-block lists.
+func phraseSegment() *index.Segment {
+	b := index.NewBuilder(index.WithPositions())
+	for d := 0; d < 3000; d++ {
+		body := "alpha beta"
+		if d%2 == 1 {
+			body = "beta alpha"
+		}
+		if d%3 == 0 {
+			body += " gamma"
+		}
+		b.AddDocument("", body+" filler", fmt.Sprint(d), 1)
+	}
+	return b.Finalize()
 }
 
 // TestExhaustedReadIsIncomplete: when a posting read fails every

@@ -31,7 +31,7 @@ func (c *Context) E1Characterization() E1Result {
 	fmt.Fprintf(w, "doc length p50/p99/max\t%d / %d / %d\n", st.DocLenP50, st.DocLenP99, st.DocLenMax)
 	fmt.Fprintf(w, "doc freq mean/p50/p99/max\t%.1f / %d / %d / %d\n",
 		st.MeanDocFreq, st.P50DocFreq, st.P99DocFreq, st.MaxDocFreq)
-	fmt.Fprintf(w, "postings bytes (%s)\t%d\n", st.Encoding, st.PostingsBytes)
+	fmt.Fprintf(w, "postings bytes (packed)\t%d\n", st.PostingsBytes)
 	fmt.Fprintf(w, "postings bytes (raw)\t%d\n", st.RawPostingsBytes)
 	fmt.Fprintf(w, "compression ratio\t%.2fx\n", st.CompressionRatio)
 	fmt.Fprintf(w, "doc store bytes\t%d\n", st.StoredBytes)

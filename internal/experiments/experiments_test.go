@@ -293,35 +293,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestAblationPackedCompression(t *testing.T) {
-	c := smokeContext(t)
-	res := c.AblationPackedCompression()
-	if len(res.Rows) != 3 {
-		t.Fatalf("want 3 encodings, got %d", len(res.Rows))
-	}
-	raw, varint, packed := res.Rows[0], res.Rows[1], res.Rows[2]
-	if raw.Name != "raw" || varint.Name != "varint" || packed.Name != "packed" {
-		t.Fatalf("row order wrong: %+v", res.Rows)
-	}
-	if !res.TopKIdentical {
-		t.Error("encodings disagreed on top-k results")
-	}
-	// The acceptance claims: packed no bigger than varint, both far
-	// smaller than raw. (Decode speed is timing-sensitive, so the
-	// microbenchmark and full-scale ABL-8 run carry that claim.)
-	if packed.PostingsBytes > varint.PostingsBytes {
-		t.Errorf("packed %d bytes exceeds varint %d", packed.PostingsBytes, varint.PostingsBytes)
-	}
-	if varint.PostingsBytes >= raw.PostingsBytes {
-		t.Errorf("varint %d bytes not below raw %d", varint.PostingsBytes, raw.PostingsBytes)
-	}
-	for _, row := range res.Rows {
-		if row.DecodeNs <= 0 || row.Mean <= 0 {
-			t.Errorf("row %s missing measurements: %+v", row.Name, row)
-		}
-	}
-}
-
 func TestE15DVFS(t *testing.T) {
 	c := smokeContext(t)
 	res := c.E15DVFS()

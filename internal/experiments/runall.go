@@ -48,7 +48,6 @@ var All = []Experiment{
 	{"ABL-5", func(c *Context) { c.AblationScheduling() }},
 	{"ABL-6", func(c *Context) { c.AblationSkipLists() }},
 	{"ABL-7", func(c *Context) { c.AblationBlockMax() }},
-	{"ABL-8", func(c *Context) { c.AblationPackedCompression() }},
 }
 
 // Lookup returns the roster row with the given ID.

@@ -1,19 +1,22 @@
 package index
 
 import (
+	"bytes"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"websearchbench/internal/corpus"
 )
 
 // TestBlockMaxStructure checks the block metadata layout: one block per
-// skip interval (plus the unbounded tail) for long lists, a single
-// term-level block for short ones, and none at all for raw segments.
+// skip interval (plus the unbounded tail) for long lists and a single
+// term-level block for short ones.
 func TestBlockMaxStructure(t *testing.T) {
 	s := buildLongList(t, 1000)
-	if !s.HasBlockMax() {
-		t.Fatal("varint segment has no block-max metadata")
+	if len(s.blockMaxes) != s.NumTerms() {
+		t.Fatalf("%d block-max lists for %d terms", len(s.blockMaxes), s.NumTerms())
 	}
 	ti, _ := s.Term("common")
 	if got, want := len(s.blockMaxes[ti.ID]), numBlocksFor(ti.DocFreq); got != want {
@@ -28,11 +31,6 @@ func TestBlockMaxStructure(t *testing.T) {
 	}
 	if short.blockMaxes[sp.ID][0] != short.maxScores[sp.ID] {
 		t.Fatal("short list's single block bound is not the term MaxScore")
-	}
-
-	raw := buildLongList(t, 1000, WithCompression(CompressionRaw))
-	if raw.HasBlockMax() {
-		t.Fatal("raw segment claims block-max metadata")
 	}
 }
 
@@ -110,49 +108,37 @@ func TestBlockMaxRoundTrip(t *testing.T) {
 	}
 	got := roundTrip(t, s)
 	segmentsEquivalent(t, s, got)
-	if !got.HasBlockMax() {
-		t.Fatal("round-tripped segment lost block-max metadata")
-	}
 	if !reflect.DeepEqual(s.blockMaxes, got.blockMaxes) {
 		t.Fatal("block maxima differ after round trip")
 	}
 }
 
-// TestLegacySerializationCompat checks that a raw segment, the one
-// encoding without block-max metadata (the MaxScore fallback
-// condition), round-trips and still searches: its iterators have no
-// shallow cursor, but SkipTo lands exactly.
+// TestLegacySerializationCompat: a segment in a retired posting
+// encoding (varint, 0, or raw, 1, in the header's encoding byte) —
+// positional segments were always varint — is refused with an error
+// wrapping ErrBadFormat that says to rebuild, not loaded.
 func TestLegacySerializationCompat(t *testing.T) {
-	s, err := BuildFromCorpus(smallCorpusCfg(), WithCompression(CompressionRaw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := roundTrip(t, s)
-	segmentsEquivalent(t, s, got)
-	if got.HasBlockMax() {
-		t.Fatal("raw segment claims block-max metadata")
-	}
-	ti, _ := got.Term(got.Terms()[0])
-	it := got.PostingsByID(ti.ID)
-	if it.NextShallow(0) {
-		t.Fatal("raw iterator has a shallow cursor")
-	}
-	var docs []int32
-	for it.Next() {
-		docs = append(docs, it.Doc())
-	}
-	for _, d := range []int32{docs[0], docs[len(docs)/2], docs[len(docs)-1]} {
-		sk := got.PostingsByID(ti.ID)
-		if !sk.SkipTo(d) || sk.Doc() != d {
-			t.Fatalf("SkipTo(%d) landed on %d", d, sk.Doc())
+	for _, opts := range [][]BuilderOption{nil, {WithPositions()}} {
+		var buf bytes.Buffer
+		if _, err := buildTiny(t, opts...).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, enc := range []byte{0, 1} {
+			data := append([]byte(nil), buf.Bytes()...)
+			data[8] = enc
+			_, err := ReadSegment(bytes.NewReader(data))
+			if !errors.Is(err, ErrBadFormat) || !strings.Contains(err.Error(), "rebuild") {
+				t.Errorf("encoding %d: ReadSegment = %v, want an ErrBadFormat that says to rebuild", enc, err)
+			}
 		}
 	}
 }
 
-// TestMergeMixedBlockMax merges a varint segment with a raw one (no block
-// metadata) and checks the output's block maxima are exactly those of a
-// single-shot build over the same documents — merge recomputes them, it
-// does not stitch.
+// TestMergeMixedBlockMax merges segments whose block boundaries do not
+// line up with the merged list's (a 1:2 split of the documents) and
+// checks the output's block maxima are exactly those of a single-shot
+// build over the same documents — merge recomputes them, it does not
+// stitch.
 func TestMergeMixedBlockMax(t *testing.T) {
 	cfg := smallCorpusCfg()
 	gen, err := corpus.NewGenerator(cfg)
@@ -161,32 +147,21 @@ func TestMergeMixedBlockMax(t *testing.T) {
 	}
 	var docs []corpus.Document
 	gen.GenerateFunc(func(d corpus.Document) { docs = append(docs, d) })
-	half := len(docs) / 2
+	third := len(docs)/3 + 7
 
-	// The output takes the first input's encoding, and segmentsEquivalent
-	// requires matching encodings, so the reference is varint too. The
-	// packed counterpart of this property lives in TestMergePackedMixedFormats.
-	build := func(ds []corpus.Document, comp Compression) *Segment {
-		b := NewBuilder(WithCompression(comp))
+	build := func(ds []corpus.Document) *Segment {
+		b := NewBuilder()
 		for _, d := range ds {
 			b.AddCorpusDoc(d)
 		}
 		return b.Finalize()
 	}
-	first, second := build(docs[:half], CompressionVarint), build(docs[half:], CompressionRaw)
-	if second.HasBlockMax() {
-		t.Fatal("raw input has block metadata")
-	}
-
-	merged, err := MergeSegments([]*Segment{first, second})
+	merged, err := MergeSegments([]*Segment{build(docs[:third]), build(docs[third:])})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := build(docs, CompressionVarint)
+	single := build(docs)
 	segmentsEquivalent(t, single, merged)
-	if !merged.HasBlockMax() {
-		t.Fatal("merged segment has no block-max metadata")
-	}
 	if !reflect.DeepEqual(single.blockMaxes, merged.blockMaxes) {
 		t.Fatal("merged block maxima differ from a single-shot build")
 	}

@@ -10,7 +10,6 @@ import (
 // Builder accumulates documents and produces an immutable Segment.
 // It is not safe for concurrent use.
 type Builder struct {
-	comp      Compression
 	positions bool
 	analyzer  *textproc.Analyzer
 	bm25      BM25Params
@@ -33,11 +32,6 @@ type termAcc struct {
 // BuilderOption customizes a Builder.
 type BuilderOption func(*Builder)
 
-// WithCompression selects the posting-list encoding (default packed).
-func WithCompression(c Compression) BuilderOption {
-	return func(b *Builder) { b.comp = c }
-}
-
 // WithAnalyzer replaces the default analyzer.
 func WithAnalyzer(a *textproc.Analyzer) BuilderOption {
 	return func(b *Builder) { b.analyzer = a }
@@ -49,20 +43,15 @@ func WithBM25(p BM25Params) BuilderOption {
 }
 
 // WithPositions stores per-posting term positions, enabling phrase
-// queries. Positional postings require varint compression; the option
-// forces it.
+// queries.
 func WithPositions() BuilderOption {
-	return func(b *Builder) {
-		b.positions = true
-		b.comp = CompressionVarint
-	}
+	return func(b *Builder) { b.positions = true }
 }
 
-// NewBuilder returns an empty Builder with the default analyzer,
-// packed compression and standard BM25 parameters.
+// NewBuilder returns an empty Builder with the default analyzer and
+// standard BM25 parameters.
 func NewBuilder(opts ...BuilderOption) *Builder {
 	b := &Builder{
-		comp:       CompressionPacked,
 		analyzer:   textproc.NewAnalyzer(),
 		bm25:       DefaultBM25(),
 		terms:      make(map[string]*termAcc),
@@ -71,9 +60,6 @@ func NewBuilder(opts ...BuilderOption) *Builder {
 	}
 	for _, opt := range opts {
 		opt(b)
-	}
-	if b.positions && b.comp != CompressionVarint {
-		b.comp = CompressionVarint
 	}
 	return b
 }
@@ -113,7 +99,7 @@ func (b *Builder) AddDocument(title, body, url string, quality float64) int32 {
 	for _, t := range terms {
 		acc, ok := b.terms[t]
 		if !ok {
-			acc = &termAcc{enc: postingsEncoder{comp: b.comp}}
+			acc = &termAcc{}
 			b.terms[t] = acc
 		}
 		f := b.scratch[t]
@@ -164,7 +150,7 @@ func (b *Builder) AddPreanalyzed(stored StoredDoc, terms []string, freqs []int32
 		f := freqs[i]
 		acc, ok := b.terms[t]
 		if !ok {
-			acc = &termAcc{enc: postingsEncoder{comp: b.comp}}
+			acc = &termAcc{}
 			b.terms[t] = acc
 		}
 		acc.enc.add(docID, f)
@@ -190,7 +176,6 @@ func (b *Builder) Finalize() *Segment {
 	sort.Strings(termList)
 
 	s := &Segment{
-		comp:      b.comp,
 		positions: b.positions,
 		bm25:      b.bm25,
 		terms:     make(map[string]int32, len(termList)),
@@ -208,6 +193,9 @@ func (b *Builder) Finalize() *Segment {
 		acc.enc.finish()
 		s.terms[t] = int32(id)
 		s.postings[id] = acc.enc.buf
+		if b.positions {
+			s.posStreams = append(s.posStreams, acc.enc.pos)
+		}
 		s.docFreqs[id] = acc.enc.count
 		s.collFreqs[id] = acc.collFreq
 	}
@@ -229,7 +217,7 @@ func (s *Segment) computeMaxScores() {
 	n := int64(len(s.docLens))
 	for id := range s.termList {
 		idf := IDF(n, int64(s.docFreqs[id]))
-		it := s.PostingsByID(int32(id))
+		it := newPostingsIterator(s.postings[id], s.docFreqs[id])
 		var max float64
 		for it.Next() {
 			sc := s.bm25.ScoreNorm(idf, it.Freq(), s.lengthNorms[it.Doc()])

@@ -254,7 +254,7 @@ func TestComputeStats(t *testing.T) {
 		t.Error("RawPostingsBytes mismatch")
 	}
 	if st.CompressionRatio <= 1 {
-		t.Errorf("CompressionRatio = %v, want > 1 for varint", st.CompressionRatio)
+		t.Errorf("CompressionRatio = %v, want > 1", st.CompressionRatio)
 	}
 	if len(st.TopTerms) != 3 {
 		t.Fatalf("TopTerms = %v", st.TopTerms)
@@ -267,27 +267,5 @@ func TestComputeStats(t *testing.T) {
 	}
 	if st.DocLenMax != 7 {
 		t.Errorf("DocLenMax = %d, want 7", st.DocLenMax)
-	}
-}
-
-func TestRawCompressionOption(t *testing.T) {
-	s := buildTiny(t, WithCompression(CompressionRaw))
-	if s.Compression() != CompressionRaw {
-		t.Fatalf("Compression = %v", s.Compression())
-	}
-	it, ok := s.Postings("gamma")
-	if !ok {
-		t.Fatal("gamma missing")
-	}
-	var docs []int32
-	for it.Next() {
-		docs = append(docs, it.Doc())
-	}
-	if len(docs) != 3 || docs[0] != 0 || docs[2] != 2 {
-		t.Errorf("raw postings docs = %v", docs)
-	}
-	st := s.ComputeStats(0)
-	if st.CompressionRatio != 1 {
-		t.Errorf("raw CompressionRatio = %v, want 1", st.CompressionRatio)
 	}
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"testing"
 )
 
@@ -42,11 +43,11 @@ func postingsFromFuzz(data []byte) []posting {
 	return ps
 }
 
-// fuzzRoundTrip encodes the derived list under comp and checks decode
-// reproduces it exactly, including SkipTo landing on every sampled doc.
-func fuzzRoundTrip(t *testing.T, comp Compression, data []byte) {
+// fuzzRoundTrip encodes the derived list and checks decode reproduces
+// it exactly, including SkipTo landing on every sampled doc.
+func fuzzRoundTrip(t *testing.T, data []byte) {
 	ps := postingsFromFuzz(data)
-	it := encodeAll(comp, ps)
+	it := encodeAll(ps)
 	for i, p := range ps {
 		if !it.Next() {
 			t.Fatalf("list truncated at posting %d/%d", i, len(ps))
@@ -60,7 +61,7 @@ func fuzzRoundTrip(t *testing.T, comp Compression, data []byte) {
 	}
 	// SkipTo from a fresh iterator must land exactly on sampled postings.
 	for i := 0; i < len(ps); i += 1 + len(ps)/16 {
-		sk := encodeAll(comp, ps)
+		sk := encodeAll(ps)
 		if !sk.SkipTo(ps[i].doc) || sk.Doc() != ps[i].doc || sk.Freq() != ps[i].freq {
 			t.Fatalf("SkipTo(%d) landed on (%d,%d)", ps[i].doc, sk.Doc(), sk.Freq())
 		}
@@ -86,10 +87,10 @@ func fuzzSeeds(f *testing.F) {
 	f.Add(mixed)
 }
 
-// fuzzSegmentBytes serializes one small deterministic segment per
-// compression, the corpus the reader fuzzer mutates.
-func fuzzSegmentBytes(comp Compression) []byte {
-	b := NewBuilder(WithCompression(comp))
+// fuzzSegmentBytes serializes one small deterministic segment, plain or
+// positional, the corpus the reader fuzzer mutates.
+func fuzzSegmentBytes(opts ...BuilderOption) []byte {
+	b := NewBuilder(opts...)
 	docs := []struct{ title, body string }{
 		{"alpha beta", "gamma delta epsilon alpha"},
 		{"beta", "zeta eta theta beta beta"},
@@ -114,9 +115,8 @@ func fuzzSegmentBytes(comp Compression) []byte {
 // plus a truncation point.
 func FuzzReadSegment(f *testing.F) {
 	bases := [][]byte{
-		fuzzSegmentBytes(CompressionPacked),
-		fuzzSegmentBytes(CompressionVarint),
-		fuzzSegmentBytes(CompressionRaw),
+		fuzzSegmentBytes(),
+		fuzzSegmentBytes(WithPositions()),
 	}
 	f.Add(0, uint16(0), byte(0), uint16(0), byte(0), 1000)
 	f.Add(1, uint16(8), byte(0xff), uint16(9), byte(0x7f), 1000)
@@ -144,28 +144,65 @@ func FuzzReadSegment(f *testing.F) {
 			_ = s.Doc(i)
 			_ = s.DocLen(i)
 		}
-		for id := range s.termList {
+		for id, term := range s.termList {
 			it := s.PostingsByID(int32(id))
 			for it.Next() {
 				if d := it.Doc(); d < 0 || d >= n {
-					t.Fatalf("term %q iterated docID %d outside [0,%d)", s.termList[id], d, n)
+					t.Fatalf("term %q iterated docID %d outside [0,%d)", term, d, n)
+				}
+			}
+			pit, _ := s.PositionsOf(term)
+			for pit.Next() {
+				for _, pos := range pit.Positions() {
+					if pos < 0 || pos >= s.DocLen(pit.Doc()) {
+						t.Fatalf("term %q doc %d: position %d outside the document", term, pit.Doc(), pos)
+					}
 				}
 			}
 		}
 	})
 }
 
-func FuzzVarintPostings(f *testing.F) {
+// FuzzPositionalPostings round-trips a positional list derived from the
+// fuzz input, then cuts its doc/freq bytes and its positions stream at
+// points the input picks: a truncated list must end early without a
+// panic, delivering only postings of the list with their positions.
+func FuzzPositionalPostings(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzRoundTrip(t, CompressionVarint, data)
+		ps := postingsFromFuzz(data)
+		for i := range ps {
+			ps[i].freq = ps[i].freq%16 + 1
+		}
+		full := encodePositional(ps)
+		if !positionalEqual(full, ps) {
+			t.Fatal("positional list did not round-trip")
+		}
+		for k := 0; k < 4; k++ {
+			docCut := (len(data)*13 + k*k*31) % (len(full.it.win) + 1)
+			posCut := (len(data)*29 + k*17) % (len(full.stream) + 1)
+			it := PositionsIterator{it: newPostingsIterator(full.it.win[:docCut], int32(len(ps))), stream: full.stream[:posCut]}
+			n := 0
+			for it.Next() {
+				if n >= len(ps) || it.Doc() != ps[n].doc || it.Freq() != ps[n].freq {
+					t.Fatalf("cut %d/%d: posting %d = (%d,%d)", docCut, posCut, n, it.Doc(), it.Freq())
+				}
+				if got, want := it.Positions(), positionsFor(ps[n]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("cut %d/%d: posting %d positions %v, want %v", docCut, posCut, n, got, want)
+				}
+				n++
+			}
+			if !it.Exhausted() {
+				t.Fatalf("cut %d/%d: not exhausted", docCut, posCut)
+			}
+		}
 	})
 }
 
 func FuzzPackedPostings(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzRoundTrip(t, CompressionPacked, data)
+		fuzzRoundTrip(t, data)
 	})
 }
 
@@ -188,7 +225,7 @@ func FuzzSkipTo(f *testing.F) {
 	f.Add(dense, []byte{0, 4, 44, 9, 6, 249, 4, 4})
 	f.Fuzz(func(t *testing.T, gaps, ops []byte) {
 		ref := postingsFromFuzz(gaps)
-		it := encodeAll(CompressionPacked, ref)
+		it := encodeAll(ref)
 		it.skips = skipTable(it)
 		cur := -1 // index in ref of the iterator's posting
 		for _, op := range ops {

@@ -4,30 +4,38 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"unsafe"
+
+	"websearchbench/internal/textproc"
 )
 
 // The evaluation strategies copy iterators by value on the resident hot
 // path, so the lazy read path keeps its state (held blocks, read-ahead
-// window) behind the fetch hook and never in the iterator: it must stay
-// the size it was before the read path planned its fetches.
-var _ [672]byte = [unsafe.Sizeof(PostingsIterator{})]byte{}
+// window) behind the fetch hook and never in the iterator, whose size is
+// pinned here.
+var _ [640]byte = [unsafe.Sizeof(PostingsIterator{})]byte{}
 
 // randomListsSegment builds a segment whose lists have the given
 // document frequencies, each over a random set of the n documents; list
 // t is term "t%03d" (term ID t). A positional builder gets each document
 // as text, every term repeated its frequency times, so it needs an
-// analyzer that keeps those terms as they are.
-func randomListsSegment(rng *rand.Rand, n int, dfs []int, opts ...BuilderOption) *Segment {
+// analyzer that keeps those terms as they are. It also returns each
+// list's postings in doc order, the reference the segment must serve.
+func randomListsSegment(rng *rand.Rand, n int, dfs []int, opts ...BuilderOption) (*Segment, [][]posting) {
 	terms := make([][]string, n)
 	freqs := make([][]int32, n)
+	refs := make([][]posting, len(dfs))
 	for t, df := range dfs {
 		for _, d := range rng.Perm(n)[:df] {
+			f := int32(1 + rng.Intn(9))
 			terms[d] = append(terms[d], fmt.Sprintf("t%03d", t))
-			freqs[d] = append(freqs[d], int32(1+rng.Intn(9)))
+			freqs[d] = append(freqs[d], f)
+			refs[t] = append(refs[t], posting{int32(d), f})
 		}
+		sort.Slice(refs[t], func(i, j int) bool { return refs[t][i].doc < refs[t][j].doc })
 	}
 	b := NewBuilder(opts...)
 	for d := range terms {
@@ -41,22 +49,23 @@ func randomListsSegment(rng *rand.Rand, n int, dfs []int, opts ...BuilderOption)
 		}
 		b.AddDocument("", body.String(), fmt.Sprint(d), 1)
 	}
-	return b.Finalize()
+	return b.Finalize(), refs
 }
 
-// blockRanges returns the byte range of every block of term id within
-// the postings section, from the segment's own skip table: the ranges
-// the per-block reader this path replaced used to read one by one.
+// blockRanges returns the byte range of every doc/freq block of term id
+// within the postings section, from the segment's own skip table: the
+// ranges the per-block reader this path replaced used to read one by
+// one.
 func blockRanges(s *Segment, post []byte, id int32) [][]byte {
 	var start int64
 	for t := int32(0); t < id; t++ {
 		start += int64(len(s.postings[t]))
+		if s.positions {
+			start += int64(len(s.posStreams[t]))
+		}
 	}
 	plen := int64(len(s.postings[id]))
-	var table []skipEntry
-	if s.skips != nil {
-		table = s.skips[id]
-	}
+	table := s.skips[id]
 	var out [][]byte
 	lo := int64(0)
 	for b := 0; b <= len(table); b++ {
@@ -79,12 +88,14 @@ func blockRanges(s *Segment, post []byte, id int32) [][]byte {
 // each block receives exactly the bytes of its own range, and the
 // iterator decodes the postings of the resident segment. The document
 // frequencies cover lists without a skip table, lists that end exactly
-// on a block boundary (no tail block) and lists ending in a varint tail.
+// on a block boundary (no tail block) and lists ending in a varint tail,
+// on a plain and a positional segment, whose positions streams sit
+// between the lists.
 func TestLazyRunsDeliverBlockBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	dfs := []int{1, 2, 63, 64, 127, 128, 129, 191, 192, 193, 256, 300, 640, 1000, 1999, 2000}
-	for _, comp := range []Compression{CompressionPacked, CompressionVarint, CompressionRaw} {
-		s := randomListsSegment(rng, 2000, dfs, WithCompression(comp))
+	for _, opts := range [][]BuilderOption{nil, {WithPositions(), WithAnalyzer(&textproc.Analyzer{DisableStemming: true})}} {
+		s, _ := randomListsSegment(rng, 2000, dfs, opts...)
 		var buf bytes.Buffer
 		if _, err := s.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -106,13 +117,13 @@ func TestLazyRunsDeliverBlockBytes(t *testing.T) {
 				for j, sz := range run.Sizes {
 					b := run.First + j
 					if b >= len(blocks) {
-						t.Fatalf("%v term %d: run reaches block %d of %d", comp, run.Term, b, len(blocks))
+						t.Fatalf("term %d: run reaches block %d of %d", run.Term, b, len(blocks))
 					}
 					if rd.Cached(run.Term, b) != nil {
-						t.Fatalf("%v term %d: run re-reads resident block %d", comp, run.Term, b)
+						t.Fatalf("term %d: run re-reads resident block %d", run.Term, b)
 					}
 					if got := rd.post[off : off+int64(sz)]; !sameBacking(got, blocks[b]) {
-						t.Fatalf("%v term %d block %d: run covers [%d,%d), not the block's own range", comp, run.Term, b, off, off+int64(sz))
+						t.Fatalf("term %d block %d: run covers [%d,%d), not the block's own range", run.Term, b, off, off+int64(sz))
 					}
 					off += int64(sz)
 				}
@@ -128,7 +139,7 @@ func TestLazyRunsDeliverBlockBytes(t *testing.T) {
 					before := rd.reads
 					drainEqual(t, &ref, &it, 1)
 					if rd.reads != before {
-						t.Fatalf("%v term %d: a list planned whole read again while decoding", comp, id)
+						t.Fatalf("term %d: a list planned whole read again while decoding", id)
 					}
 				case 1:
 					q.Prefetch(false)
@@ -138,12 +149,12 @@ func TestLazyRunsDeliverBlockBytes(t *testing.T) {
 					drainEqual(t, &ref, &it, 1+rng.Intn(400))
 				}
 				if q.Incomplete() {
-					t.Fatalf("%v term %d: query incomplete without a failed read", comp, id)
+					t.Fatalf("term %d: query incomplete without a failed read", id)
 				}
 				// Whatever the query read is resident now, byte for byte.
 				for b, blk := range want[id] {
 					if got := rd.Cached(id, b); got != nil && !bytes.Equal(got, blk) {
-						t.Fatalf("%v term %d block %d: resident bytes differ from the block's range", comp, id, b)
+						t.Fatalf("term %d block %d: resident bytes differ from the block's range", id, b)
 					}
 				}
 			}
@@ -195,7 +206,7 @@ func drainEqual(t *testing.T, want, got *PostingsIterator, stride int) {
 func TestLazyReadAheadIsLogarithmic(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const docs = 6400 // one term in every document: 100 full blocks
-	s := randomListsSegment(rng, docs, []int{docs})
+	s, _ := randomListsSegment(rng, docs, []int{docs})
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)

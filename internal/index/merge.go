@@ -9,10 +9,10 @@ import (
 // spaces in order (segment 0's docs keep their IDs, segment 1's are
 // offset by segment 0's count, and so on) and merging posting lists per
 // term. All segments must share positional setting and BM25 parameters;
-// mixed compressions are allowed — inputs are decoded through iterators
-// and re-encoded in the first segment's encoding. Merging is how a
-// multi-segment index is compacted after incremental building, exactly
-// as in the Lucene stack the benchmark serves with.
+// inputs are decoded through iterators and re-encoded, positions
+// included. Merging is how a multi-segment index is compacted after
+// incremental building, exactly as in the Lucene stack the benchmark
+// serves with.
 func MergeSegments(segs []*Segment) (*Segment, error) {
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("index: nothing to merge")
@@ -56,7 +56,6 @@ func MergeSegmentsFiltered(segs []*Segment, drop []func(int32) bool) (*Segment, 
 	}
 
 	out := &Segment{
-		comp:      first.comp,
 		positions: first.positions,
 		bm25:      first.bm25,
 	}
@@ -98,13 +97,13 @@ func MergeSegmentsFiltered(segs []*Segment, drop []func(int32) bool) (*Segment, 
 	// merged dictionary.
 	type mergedTerm struct {
 		term     string
-		buf      []byte
+		buf, pos []byte
 		docFreq  int32
 		collFreq int64
 	}
 	kept := make([]mergedTerm, 0, len(termList))
 	for _, term := range termList {
-		enc := postingsEncoder{comp: out.comp}
+		var enc postingsEncoder
 		var coll int64
 		for si, s := range segs {
 			ti, ok := s.Term(term)
@@ -135,7 +134,7 @@ func MergeSegmentsFiltered(segs []*Segment, drop []func(int32) bool) (*Segment, 
 		if enc.count == 0 {
 			continue
 		}
-		kept = append(kept, mergedTerm{term: term, buf: enc.buf, docFreq: enc.count, collFreq: coll})
+		kept = append(kept, mergedTerm{term: term, buf: enc.buf, pos: enc.pos, docFreq: enc.count, collFreq: coll})
 	}
 
 	out.terms = make(map[string]int32, len(kept))
@@ -148,6 +147,9 @@ func MergeSegmentsFiltered(segs []*Segment, drop []func(int32) bool) (*Segment, 
 		out.terms[mt.term] = int32(id)
 		out.termList[id] = mt.term
 		out.postings[id] = mt.buf
+		if out.positions {
+			out.posStreams = append(out.posStreams, mt.pos)
+		}
 		out.docFreqs[id] = mt.docFreq
 		out.collFreqs[id] = mt.collFreq
 	}
@@ -156,8 +158,7 @@ func MergeSegmentsFiltered(segs []*Segment, drop []func(int32) bool) (*Segment, 
 	out.buildSkips()
 	// Block maxima are recomputed from the merged postings rather than
 	// stitched from the inputs: merged blocks straddle input-segment
-	// boundaries, and raw inputs carry no metadata at all — recomputation
-	// gives every merge output exact bounds either way.
+	// boundaries.
 	out.computeBlockMaxes()
 	return out, remap, nil
 }

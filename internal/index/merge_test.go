@@ -78,7 +78,6 @@ func TestMergeEqualsSingleBuild(t *testing.T) {
 	for _, opts := range [][]BuilderOption{
 		nil,
 		{WithPositions()},
-		{WithCompression(CompressionRaw)},
 	} {
 		single := NewBuilder(opts...)
 		w := NewWriter(40, opts...) // uneven final flush: 150 = 3*40 + 30
@@ -133,17 +132,6 @@ func TestMergePositionsPreserved(t *testing.T) {
 func TestMergeErrors(t *testing.T) {
 	if _, err := MergeSegments(nil); err == nil {
 		t.Error("empty merge accepted")
-	}
-	// Mixed compressions are legal (merge re-encodes through
-	// iterators); the output takes the first segment's encoding.
-	varint := NewBuilder(WithCompression(CompressionVarint))
-	varint.AddDocument("t", "x", "u", 1)
-	raw := NewBuilder(WithCompression(CompressionRaw))
-	raw.AddDocument("t", "x", "u", 1)
-	if m, err := MergeSegments([]*Segment{varint.Finalize(), raw.Finalize()}); err != nil {
-		t.Errorf("mixed compression merge rejected: %v", err)
-	} else if m.Compression() != CompressionVarint {
-		t.Errorf("mixed merge produced %v, want first segment's varint", m.Compression())
 	}
 	pos := NewBuilder(WithPositions())
 	pos.AddDocument("t", "x", "u", 1)

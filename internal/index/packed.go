@@ -2,11 +2,11 @@ package index
 
 import "math/bits"
 
-// Packed posting lists: postings are grouped into blocks of
-// packedBlockLen entries, aligned with the skip/block-max interval, and
-// each full block is frame-of-reference bit-packed at the block's minimal
-// fixed bit-width. The final partial block (count % packedBlockLen
-// postings) is a plain varint tail continuing the same delta chain.
+// Posting lists: postings are grouped into blocks of packedBlockLen
+// entries, aligned with the skip/block-max interval, and each full block
+// is frame-of-reference bit-packed at the block's minimal fixed
+// bit-width. The final partial block (count % packedBlockLen postings)
+// is a plain varint tail continuing the same delta chain.
 //
 // Full-block layout:
 //
@@ -140,13 +140,9 @@ func (e *postingsEncoder) flushPackedBlock() {
 	e.pend = 0
 }
 
-// finish flushes encoder state buffered across postings. Packed lists
-// write their final partial block as a varint tail; the streaming
-// encodings need nothing. Must be called once, after the last add.
+// finish writes the final partial block as a varint tail. Must be
+// called once, after the last add.
 func (e *postingsEncoder) finish() {
-	if e.comp != CompressionPacked {
-		return
-	}
 	for i := int32(0); i < e.pend; i++ {
 		e.buf = appendUvarint(e.buf, uint64(e.pendDocs[i]-e.lastDoc))
 		e.buf = appendUvarint(e.buf, uint64(e.pendFreqs[i]))
@@ -155,47 +151,11 @@ func (e *postingsEncoder) finish() {
 	e.pend = 0
 }
 
-// skipToPacked is SkipTo on a packed list, a block at a time as in
-// Lucene's block postings advance: a target at or below the decoded
-// block's last doc is found by scanning the block, touching neither the
-// skip table nor the decoder; a decoded block wholly below the target is
-// dropped in one step, its last doc kept as the base of the next block's
-// delta chain; only then does the skip table pick the landing block,
-// which alone is decoded. A block is therefore decoded only if it holds
-// a posting the call may return, so lazy lists fetch no block they jump
-// over.
-func (it *PostingsIterator) skipToPacked(target int32) bool {
-	for {
-		if it.bIdx < it.bLen {
-			docs := it.bDocs[it.bIdx:it.bLen]
-			if docs[len(docs)-1] >= target {
-				i := 0
-				for docs[i] < target {
-					i++
-				}
-				it.doc, it.freq = docs[i], it.bFreqs[int(it.bIdx)+i]
-				it.bIdx += int32(i) + 1
-				it.count -= int32(i) + 1
-				return true
-			}
-			it.count -= int32(len(docs))
-			it.doc = docs[len(docs)-1]
-			it.bIdx = it.bLen
-		}
-		it.seekSkip(target)
-		if !it.decodePackedBlock() {
-			it.count = 0
-			it.doc = exhaustedDoc
-			return false
-		}
-	}
-}
-
-// decodePackedBlock decodes the next block — a full bit-packed block or
-// the varint tail — into the iterator's scratch arrays. It returns false
-// when nothing remains or the buffer is corrupt; callers treat both as
-// exhaustion (matching the truncated-varint behavior).
-func (it *PostingsIterator) decodePackedBlock() bool {
+// decodeBlock decodes the next block — a full bit-packed block or the
+// varint tail — into the iterator's scratch arrays. It returns false when
+// nothing remains or the buffer is corrupt; callers treat both as
+// exhaustion.
+func (it *PostingsIterator) decodeBlock() bool {
 	remaining := int(it.count)
 	if remaining <= 0 {
 		return false

@@ -16,7 +16,7 @@ func TestPackedBlockBoundaries(t *testing.T) {
 		for i := range ps {
 			ps[i] = posting{doc: int32(i * 3), freq: int32(i%7 + 1)}
 		}
-		got := decodeAll(encodeAll(CompressionPacked, ps))
+		got := decodeAll(encodeAll(ps))
 		if len(got) != n {
 			t.Fatalf("n=%d: decoded %d postings", n, len(got))
 		}
@@ -32,7 +32,7 @@ func TestPackedBlockBoundaries(t *testing.T) {
 // case: consecutive docIDs with uniform frequencies pack at width 0, so
 // a full block costs only its header (2 width bytes + 2 uvarints).
 func TestPackedDenseWidthZero(t *testing.T) {
-	enc := postingsEncoder{comp: CompressionPacked}
+	enc := postingsEncoder{}
 	for d := int32(0); d < 64; d++ {
 		enc.add(d, 5)
 	}
@@ -41,7 +41,7 @@ func TestPackedDenseWidthZero(t *testing.T) {
 	if len(enc.buf) != 4 {
 		t.Errorf("dense uniform block = %d bytes, want 4", len(enc.buf))
 	}
-	it := newPostingsIterator(CompressionPacked, enc.buf, enc.count)
+	it := newPostingsIterator(enc.buf, enc.count)
 	for d := int32(0); d < 64; d++ {
 		if !it.Next() || it.Doc() != d || it.Freq() != 5 {
 			t.Fatalf("posting %d decoded as (%d,%d)", d, it.Doc(), it.Freq())
@@ -52,35 +52,17 @@ func TestPackedDenseWidthZero(t *testing.T) {
 	}
 }
 
-// TestPackedSmallerThanVarint is the size claim behind ABL-8 as an
-// invariant: on dense lists (the high-docFreq lists that dominate index
-// bytes and query time) packed beats varint.
-func TestPackedSmallerThanVarint(t *testing.T) {
-	v := postingsEncoder{comp: CompressionVarint}
-	p := postingsEncoder{comp: CompressionPacked}
-	for d := int32(0); d < 10000; d += 2 {
-		v.add(d, d%13+1)
-		p.add(d, d%13+1)
-	}
-	v.finish()
-	p.finish()
-	if len(p.buf) >= len(v.buf) {
-		t.Errorf("packed (%d bytes) not smaller than varint (%d bytes)", len(p.buf), len(v.buf))
-	}
-}
-
-// TestTruncatedPackedPostings mirrors the varint truncation test: an
-// iterator that claims more postings than the buffer holds must exhaust
+// TestTruncatedPackedPostings: an iterator that claims more postings than the buffer holds must exhaust
 // cleanly instead of spinning or panicking, for both a truncated full
 // block and a truncated varint tail.
 func TestTruncatedPackedPostings(t *testing.T) {
-	enc := postingsEncoder{comp: CompressionPacked}
+	enc := postingsEncoder{}
 	for d := int32(0); d < 100; d++ {
 		enc.add(d*2, 1)
 	}
 	enc.finish()
 	for _, cut := range []int{0, 1, 3, len(enc.buf) / 2, len(enc.buf) - 1} {
-		it := newPostingsIterator(CompressionPacked, enc.buf[:cut], enc.count)
+		it := newPostingsIterator(enc.buf[:cut], enc.count)
 		n := 0
 		for it.Next() {
 			if n++; n > 100 {
@@ -92,7 +74,7 @@ func TestTruncatedPackedPostings(t *testing.T) {
 		}
 	}
 	// Intact buffer, inflated count: the missing tail reads as truncation.
-	it := newPostingsIterator(CompressionPacked, enc.buf, enc.count+40)
+	it := newPostingsIterator(enc.buf, enc.count+40)
 	n := 0
 	for it.Next() {
 		n++
@@ -105,14 +87,14 @@ func TestTruncatedPackedPostings(t *testing.T) {
 // TestPackedCorruptWidths rejects blocks whose stored bit-widths exceed
 // any width a valid encoder can produce.
 func TestPackedCorruptWidths(t *testing.T) {
-	enc := postingsEncoder{comp: CompressionPacked}
+	enc := postingsEncoder{}
 	for d := int32(0); d < 64; d++ {
 		enc.add(d*5, 2)
 	}
 	enc.finish()
 	buf := append([]byte(nil), enc.buf...)
 	buf[0] = 200 // docBits
-	it := newPostingsIterator(CompressionPacked, buf, enc.count)
+	it := newPostingsIterator(buf, enc.count)
 	if it.Next() {
 		t.Fatal("decoded a block with a 200-bit doc width")
 	}
@@ -134,9 +116,6 @@ func TestMergePackedRepacksExactly(t *testing.T) {
 		return b.Finalize()
 	}
 	single := mk(0, 900)
-	if single.Compression() != CompressionPacked {
-		t.Fatalf("default build is %v, want packed", single.Compression())
-	}
 	parts := []*Segment{mk(0, 300), mk(300, 600), mk(600, 900)}
 	merged, err := MergeSegments(parts)
 	if err != nil {
@@ -154,12 +133,13 @@ func TestMergePackedRepacksExactly(t *testing.T) {
 	}
 }
 
-// TestMergePackedMixedFormats merges a packed segment with varint and raw
-// ones and checks the output is packed with postings and block maxima
-// identical to a single-shot packed build.
+// TestMergePackedMixedFormats merges segments held three ways — built
+// in memory, read back from their serialized bytes, and opened lazily
+// over them — and checks the output has postings and block maxima
+// identical to a single-shot build.
 func TestMergePackedMixedFormats(t *testing.T) {
-	mk := func(lo, hi int, opts ...BuilderOption) *Segment {
-		b := NewBuilder(opts...)
+	mk := func(lo, hi int) *Segment {
+		b := NewBuilder()
 		for d := lo; d < hi; d++ {
 			body := "common"
 			if d%3 == 0 {
@@ -169,48 +149,44 @@ func TestMergePackedMixedFormats(t *testing.T) {
 		}
 		return b.Finalize()
 	}
-	merged, err := MergeSegments([]*Segment{
-		mk(0, 300),
-		mk(300, 600, WithCompression(CompressionVarint)),
-		mk(600, 900, WithCompression(CompressionRaw)),
-	})
-	if err != nil {
+	var lazyBytes bytes.Buffer
+	if _, err := mk(600, 900).WriteTo(&lazyBytes); err != nil {
 		t.Fatal(err)
 	}
-	if merged.Compression() != CompressionPacked {
-		t.Fatalf("mixed-encoding merge produced %v, want packed", merged.Compression())
+	lazy, _ := lazyFromBytes(t, lazyBytes.Bytes())
+	merged, err := MergeSegments([]*Segment{mk(0, 300), roundTrip(t, mk(300, 600)), lazy})
+	if err != nil {
+		t.Fatal(err)
 	}
 	single := mk(0, 900)
 	segmentsEquivalent(t, single, merged)
 	if !reflect.DeepEqual(single.blockMaxes, merged.blockMaxes) {
-		t.Fatal("merged block maxima differ from a single-shot packed build")
+		t.Fatal("merged block maxima differ from a single-shot build")
 	}
 }
 
-// BenchmarkBlockDecode measures raw decode throughput per posting: a
-// full traversal of a long list under each encoding. The batch-decoded
-// packed path is the one Next() the searcher hot loops sit on.
+// BenchmarkBlockDecode measures decode throughput per posting: a full
+// traversal of a long list, the batch-decoded Next() the searcher hot
+// loops sit on.
 func BenchmarkBlockDecode(b *testing.B) {
 	const n = 100000
-	for _, comp := range allCompressions {
-		enc := postingsEncoder{comp: comp}
-		for i := 0; i < n; i++ {
-			enc.add(int32(i*3), int32(i%15+1))
-		}
-		enc.finish()
-		b.Run(comp.String(), func(b *testing.B) {
-			b.SetBytes(int64(len(enc.buf)))
-			var sink int64
-			for i := 0; i < b.N; i++ {
-				it := newPostingsIterator(comp, enc.buf, enc.count)
-				for it.Next() {
-					sink += int64(it.Freq())
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/posting")
-			if sink == 0 {
-				b.Fatal("no postings decoded")
-			}
-		})
+	var enc postingsEncoder
+	for i := 0; i < n; i++ {
+		enc.add(int32(i*3), int32(i%15+1))
 	}
+	enc.finish()
+	b.Run("packed", func(b *testing.B) {
+		b.SetBytes(int64(len(enc.buf)))
+		var sink int64
+		for i := 0; i < b.N; i++ {
+			it := newPostingsIterator(enc.buf, enc.count)
+			for it.Next() {
+				sink += int64(it.Freq())
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/posting")
+		if sink == 0 {
+			b.Fatal("no postings decoded")
+		}
+	})
 }

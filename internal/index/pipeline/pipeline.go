@@ -42,7 +42,7 @@ type Config struct {
 	// ChunkBuffer bounds how many pending chunks the feeder may run
 	// ahead of the workers (default 2×Workers) — the backpressure depth.
 	ChunkBuffer int
-	// BuilderOptions configure every worker's private Builder (encoding,
+	// BuilderOptions configure every worker's private Builder (positions,
 	// analyzer, BM25 parameters). All workers must build identically or
 	// the merge tier would refuse to combine their output.
 	BuilderOptions []index.BuilderOption

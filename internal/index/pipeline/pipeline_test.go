@@ -111,7 +111,7 @@ func TestWorkersOneNoBudgetByteIdentical(t *testing.T) {
 // TestParallelCompactByteIdentical is the core determinism property: for
 // a fixed input order, the compacted parallel build is byte-for-byte the
 // single-shot build — across worker counts, chunk budgets, merge fan-ins
-// and posting encodings. Odd chunk sizes exercise ragged tails that
+// and plain or positional postings. Odd chunk sizes exercise ragged tails that
 // never complete an aligned merge group.
 func TestParallelCompactByteIdentical(t *testing.T) {
 	docs := testCorpus(t, 1100)
@@ -120,7 +120,7 @@ func TestParallelCompactByteIdentical(t *testing.T) {
 		opts []index.BuilderOption
 	}{
 		{"packed", nil},
-		{"varint", []index.BuilderOption{index.WithCompression(index.CompressionVarint)}},
+		{"positional", []index.BuilderOption{index.WithPositions()}},
 	}
 	for _, enc := range encodings {
 		want := segmentBytes(t, singleShot(docs, enc.opts...))
@@ -188,13 +188,13 @@ func TestTieredOutputDeterministic(t *testing.T) {
 // set is searchable with results identical to the single-shot build:
 // searching every segment under global collection statistics and merging
 // the per-segment top-k by (score desc, global docID asc) yields exactly
-// the single-index top-k, for AND and OR and both encodings.
+// the single-index top-k, for AND and OR, plain and positional.
 func TestTieredSearchEquivalence(t *testing.T) {
 	docs := testCorpus(t, 800)
 	rng := rand.New(rand.NewSource(23))
 	for _, encOpts := range [][]index.BuilderOption{
 		nil,
-		{index.WithCompression(index.CompressionVarint)},
+		{index.WithPositions()},
 	} {
 		single := singleShot(docs, encOpts...)
 		stats := globalStatsFor(single)

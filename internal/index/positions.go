@@ -1,87 +1,65 @@
 package index
 
-// Positional postings: when a segment is built WithPositions, each
-// posting carries the term's within-document positions (token offsets
-// after analysis), delta+varint encoded after the (docDelta, freq) pair.
-// Positions are what phrase queries intersect; they are stored only under
-// CompressionVarint (the production encoding).
+// Positional postings: when a segment is built WithPositions, each term's
+// doc/freq list is encoded exactly as a non-positional one, and a
+// positions stream follows it: for each posting in order, freq uvarints,
+// the term's within-document positions (token offsets after analysis)
+// delta-coded from 0. Positions are what phrase queries intersect. Skip
+// tables, block maxima and lazy block bounds cover the doc/freq bytes
+// only; the stream is one more unit beside them.
 
 // addWithPositions appends a posting with its position list. Positions
 // must be strictly increasing within the document.
 func (e *postingsEncoder) addWithPositions(docID int32, positions []int32) {
-	e.buf = appendUvarint(e.buf, uint64(docID-e.lastDoc))
-	e.buf = appendUvarint(e.buf, uint64(len(positions)))
+	e.add(docID, int32(len(positions)))
 	last := int32(0)
 	for _, p := range positions {
-		e.buf = appendUvarint(e.buf, uint64(p-last))
+		e.pos = appendUvarint(e.pos, uint64(p-last))
 		last = p
 	}
-	e.lastDoc = docID
-	e.count++
 }
 
-// PositionsIterator walks a positional posting list. It extends the plain
-// iterator with access to the current posting's positions.
+// PositionsIterator walks a positional posting list: a posting iterator
+// and a cursor into the positions stream, moved in step.
 type PositionsIterator struct {
-	buf   []byte
-	pos   int
-	doc   int32
-	freq  int32
-	count int32
-
-	// posStart/posEnd delimit the current posting's encoded positions.
-	posStart, posEnd int
-	scratch          []int32
+	it     PostingsIterator
+	stream []byte
+	// list is the lazy list whose stream is read on the first Next, if
+	// the query has not read it already.
+	list *lazyList
+	// cur/end delimit the current posting's encoded positions.
+	cur, end int
+	scratch  []int32
 }
 
-// newPositionsIterator returns an iterator over a positional posting list
-// holding count postings.
-func newPositionsIterator(buf []byte, count int32) PositionsIterator {
-	return PositionsIterator{buf: buf, count: count, doc: -1}
-}
-
-// Next advances to the next posting, returning false at the end.
-func (it *PositionsIterator) Next() bool {
-	if it.count <= 0 {
-		it.doc = exhaustedDoc
+// Next advances to the next posting, returning false at the end. A
+// positions stream that runs out ends the list, as a truncated posting
+// list does.
+func (p *PositionsIterator) Next() bool {
+	if p.list != nil {
+		p.stream = p.list.positionsStream()
+		p.list = nil
+	}
+	if !p.it.Next() {
 		return false
 	}
-	it.count--
-	delta, n := uvarint(it.buf[it.pos:])
-	it.pos += n
-	f, n2 := uvarint(it.buf[it.pos:])
-	it.pos += n2
-	if n == 0 || n2 == 0 {
-		it.count = 0
-		it.doc = exhaustedDoc
-		return false
-	}
-	if it.doc < 0 {
-		it.doc = int32(delta)
-	} else {
-		it.doc += int32(delta)
-	}
-	it.freq = int32(f)
-	// Skip over the encoded positions, remembering their extent so
-	// Positions can decode them lazily.
-	it.posStart = it.pos
-	for i := int32(0); i < it.freq; i++ {
-		_, n := uvarint(it.buf[it.pos:])
-		if n == 0 {
-			it.count = 0
-			it.doc = exhaustedDoc
+	p.cur = p.end
+	for i := int32(0); i < p.it.freq; i++ {
+		_, n := uvarint(p.stream[p.end:])
+		if n <= 0 {
+			p.it.count = 0
+			p.it.doc = exhaustedDoc
 			return false
 		}
-		it.pos += n
+		p.end += n
 	}
-	it.posEnd = it.pos
 	return true
 }
 
 // SkipTo advances to the first posting with docID >= target.
-func (it *PositionsIterator) SkipTo(target int32) bool {
-	for it.doc < target {
-		if !it.Next() {
+func (p *PositionsIterator) SkipTo(target int32) bool {
+	for p.it.doc < target {
+		if !p.Next() {
 			return false
 		}
 	}
@@ -89,27 +67,26 @@ func (it *PositionsIterator) SkipTo(target int32) bool {
 }
 
 // Doc returns the current docID.
-func (it *PositionsIterator) Doc() int32 { return it.doc }
+func (p *PositionsIterator) Doc() int32 { return p.it.doc }
 
 // Freq returns the current within-document frequency.
-func (it *PositionsIterator) Freq() int32 { return it.freq }
+func (p *PositionsIterator) Freq() int32 { return p.it.freq }
 
 // Exhausted reports whether the iterator has run out of postings.
-func (it *PositionsIterator) Exhausted() bool { return it.doc == exhaustedDoc }
+func (p *PositionsIterator) Exhausted() bool { return p.it.Exhausted() }
 
 // Positions decodes the current posting's position list. The returned
 // slice is reused by subsequent calls; copy it to retain.
-func (it *PositionsIterator) Positions() []int32 {
-	it.scratch = it.scratch[:0]
-	p := it.posStart
+func (p *PositionsIterator) Positions() []int32 {
+	p.scratch = p.scratch[:0]
 	last := int32(0)
-	for p < it.posEnd {
-		d, n := uvarint(it.buf[p:])
-		p += n
+	for i := p.cur; i < p.end; {
+		d, n := uvarint(p.stream[i:])
+		i += n
 		last += int32(d)
-		it.scratch = append(it.scratch, last)
+		p.scratch = append(p.scratch, last)
 	}
-	return it.scratch
+	return p.scratch
 }
 
 // HasPositions reports whether the segment stores positional postings.
@@ -118,18 +95,12 @@ func (s *Segment) HasPositions() bool { return s.positions }
 // PositionsOf returns a positional iterator for term. ok is false when
 // the term is absent or the segment has no positions.
 func (s *Segment) PositionsOf(term string) (PositionsIterator, bool) {
-	if !s.positions {
-		return PositionsIterator{doc: exhaustedDoc}, false
-	}
 	id, ok := s.terms[term]
-	if !ok {
-		return PositionsIterator{doc: exhaustedDoc}, false
+	if !ok || !s.positions {
+		return PositionsIterator{it: PostingsIterator{doc: exhaustedDoc}}, false
 	}
 	if s.lazy != nil {
-		// Phrase evaluation random-accesses the whole list; materialize it
-		// once rather than windowing (a failed fetch yields an empty,
-		// immediately exhausted list).
-		return newPositionsIterator(s.lazyListBytes(id), s.docFreqs[id]), true
+		return s.NewLazyQuery().Positions(id), true
 	}
-	return newPositionsIterator(s.postings[id], s.docFreqs[id]), true
+	return PositionsIterator{it: newPostingsIterator(s.postings[id], s.docFreqs[id]), stream: s.posStreams[id]}, true
 }

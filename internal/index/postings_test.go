@@ -12,17 +12,14 @@ type posting struct {
 	freq int32
 }
 
-func encodeAll(comp Compression, ps []posting) PostingsIterator {
-	enc := postingsEncoder{comp: comp}
+func encodeAll(ps []posting) PostingsIterator {
+	var enc postingsEncoder
 	for _, p := range ps {
 		enc.add(p.doc, p.freq)
 	}
 	enc.finish()
-	return newPostingsIterator(comp, enc.buf, enc.count)
+	return newPostingsIterator(enc.buf, enc.count)
 }
-
-// allCompressions enumerates every posting-list encoding for table tests.
-var allCompressions = []Compression{CompressionVarint, CompressionRaw, CompressionPacked}
 
 func decodeAll(it PostingsIterator) []posting {
 	var out []posting
@@ -32,25 +29,74 @@ func decodeAll(it PostingsIterator) []posting {
 	return out
 }
 
-func TestPostingsRoundTrip(t *testing.T) {
-	ps := []posting{{0, 1}, {1, 3}, {5, 2}, {1000, 1}, {1001, 7}, {1 << 20, 255}}
-	for _, comp := range allCompressions {
-		t.Run(comp.String(), func(t *testing.T) {
-			got := decodeAll(encodeAll(comp, ps))
-			if len(got) != len(ps) {
-				t.Fatalf("decoded %d postings, want %d", len(got), len(ps))
-			}
-			for i := range ps {
-				if got[i] != ps[i] {
-					t.Errorf("posting %d = %+v, want %+v", i, got[i], ps[i])
-				}
-			}
-		})
+// positionsFor returns freq increasing positions for a posting, a
+// deterministic function of the posting so tests can rebuild them.
+func positionsFor(p posting) []int32 {
+	poss := make([]int32, p.freq)
+	for j := range poss {
+		poss[j] = int32(j)*(p.doc%7+1) + p.doc%3
 	}
+	return poss
+}
+
+// encodePositional encodes ps with positionsFor's positions.
+func encodePositional(ps []posting) PositionsIterator {
+	var enc postingsEncoder
+	for _, p := range ps {
+		enc.addWithPositions(p.doc, positionsFor(p))
+	}
+	enc.finish()
+	return PositionsIterator{it: newPostingsIterator(enc.buf, enc.count), stream: enc.pos}
+}
+
+// positionalEqual walks it and reports whether it delivers exactly ps
+// with positionsFor's positions.
+func positionalEqual(it PositionsIterator, ps []posting) bool {
+	for _, p := range ps {
+		if !it.Next() || it.Doc() != p.doc || it.Freq() != p.freq {
+			return false
+		}
+		want, got := positionsFor(p), it.Positions()
+		if len(got) != len(want) {
+			return false
+		}
+		for j := range got {
+			if got[j] != want[j] {
+				return false
+			}
+		}
+	}
+	return !it.Next() && it.end == len(it.stream)
+}
+
+func TestPostingsRoundTrip(t *testing.T) {
+	t.Run("packed", func(t *testing.T) {
+		ps := []posting{{0, 1}, {1, 3}, {5, 2}, {1000, 1}, {1001, 7}, {1 << 20, 255}}
+		got := decodeAll(encodeAll(ps))
+		if len(got) != len(ps) {
+			t.Fatalf("decoded %d postings, want %d", len(got), len(ps))
+		}
+		for i := range ps {
+			if got[i] != ps[i] {
+				t.Errorf("posting %d = %+v, want %+v", i, got[i], ps[i])
+			}
+		}
+	})
+	// The positions stream stays in step with the doc/freq list across
+	// full blocks and the tail.
+	t.Run("positional", func(t *testing.T) {
+		var ps []posting
+		for d := int32(0); d < 3*packedBlockLen+5; d++ {
+			ps = append(ps, posting{d * d, d%9 + 1})
+		}
+		if !positionalEqual(encodePositional(ps), ps) {
+			t.Error("positional list did not round-trip")
+		}
+	})
 }
 
 func TestPostingsEmpty(t *testing.T) {
-	it := encodeAll(CompressionVarint, nil)
+	it := encodeAll(nil)
 	if it.Next() {
 		t.Error("Next on empty list returned true")
 	}
@@ -60,7 +106,7 @@ func TestPostingsEmpty(t *testing.T) {
 }
 
 func TestPostingsExhaustionIsSticky(t *testing.T) {
-	it := encodeAll(CompressionVarint, []posting{{3, 1}})
+	it := encodeAll([]posting{{3, 1}})
 	if !it.Next() || it.Doc() != 3 {
 		t.Fatal("first Next failed")
 	}
@@ -89,7 +135,7 @@ func TestSkipTo(t *testing.T) {
 		{33, 0, false},
 	}
 	for _, tt := range tests {
-		it := encodeAll(CompressionVarint, ps)
+		it := encodeAll(ps)
 		ok := it.SkipTo(tt.target)
 		if ok != tt.wantOK {
 			t.Errorf("SkipTo(%d) ok = %v, want %v", tt.target, ok, tt.wantOK)
@@ -102,7 +148,7 @@ func TestSkipTo(t *testing.T) {
 }
 
 func TestSkipToDoesNotRewind(t *testing.T) {
-	it := encodeAll(CompressionVarint, []posting{{1, 1}, {5, 1}, {9, 1}})
+	it := encodeAll([]posting{{1, 1}, {5, 1}, {9, 1}})
 	it.SkipTo(5)
 	// Skipping backwards is a no-op: the iterator stays at 5.
 	if !it.SkipTo(2) || it.Doc() != 5 {
@@ -110,30 +156,42 @@ func TestSkipToDoesNotRewind(t *testing.T) {
 	}
 }
 
+// TestTruncatedVarintPostings cuts a list's varint tail at every byte
+// and inflates its count: the iterator must deliver only postings of the
+// list, in order, and end exhausted instead of spinning or panicking.
 func TestTruncatedVarintPostings(t *testing.T) {
-	enc := postingsEncoder{comp: CompressionVarint}
-	enc.add(10, 3)
-	enc.add(20, 4)
-	// Claim more postings than the buffer holds.
-	it := newPostingsIterator(CompressionVarint, enc.buf, 5)
-	n := 0
-	for it.Next() {
-		n++
-		if n > 10 {
-			t.Fatal("iterator spinning on truncated input")
+	ref := []posting{{10, 3}, {20, 4}, {300, 1}, {301, 200}}
+	var enc postingsEncoder
+	for _, p := range ref {
+		enc.add(p.doc, p.freq)
+	}
+	enc.finish()
+	check := func(buf []byte, count int32) {
+		t.Helper()
+		it := newPostingsIterator(buf, count)
+		n := 0
+		for it.Next() {
+			if n >= len(ref) || it.Doc() != ref[n].doc || it.Freq() != ref[n].freq {
+				t.Fatalf("%d bytes, count %d: posting %d = (%d,%d)", len(buf), count, n, it.Doc(), it.Freq())
+			}
+			n++
+		}
+		if !it.Exhausted() {
+			t.Fatalf("%d bytes, count %d: not exhausted", len(buf), count)
 		}
 	}
-	if n != 2 {
-		t.Errorf("decoded %d postings from truncated list, want 2", n)
+	for cut := 0; cut < len(enc.buf); cut++ {
+		check(enc.buf[:cut], enc.count)
 	}
+	check(enc.buf, enc.count+5)
 }
 
-// Property: round trip preserves arbitrary increasing posting lists under
-// both encodings, and varint never exceeds raw by more than it should.
+// Property: round trip preserves arbitrary increasing posting lists, from
+// a varint tail alone to several full blocks plus a tail.
 func TestPostingsRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw % 64)
+		n := 2 * int(nRaw)
 		docs := make([]int, n)
 		for i := range docs {
 			docs[i] = rng.Intn(1 << 22)
@@ -148,15 +206,13 @@ func TestPostingsRoundTripProperty(t *testing.T) {
 			last = int32(d)
 			ps = append(ps, posting{int32(d), int32(rng.Intn(1000) + 1)})
 		}
-		for _, comp := range allCompressions {
-			got := decodeAll(encodeAll(comp, ps))
-			if len(got) != len(ps) {
+		got := decodeAll(encodeAll(ps))
+		if len(got) != len(ps) {
+			return false
+		}
+		for i := range ps {
+			if got[i] != ps[i] {
 				return false
-			}
-			for i := range ps {
-				if got[i] != ps[i] {
-					return false
-				}
 			}
 		}
 		return true
@@ -166,90 +222,34 @@ func TestPostingsRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestVarintSmallerThanRawForDenseLists(t *testing.T) {
-	// Dense, small-gap lists are where delta+varint wins.
-	var ps []posting
-	for d := int32(0); d < 1000; d++ {
-		ps = append(ps, posting{d, 1})
-	}
-	v := postingsEncoder{comp: CompressionVarint}
-	r := postingsEncoder{comp: CompressionRaw}
-	for _, p := range ps {
-		v.add(p.doc, p.freq)
-		r.add(p.doc, p.freq)
-	}
-	if len(v.buf) >= len(r.buf) {
-		t.Errorf("varint (%d bytes) not smaller than raw (%d bytes)", len(v.buf), len(r.buf))
-	}
-	if len(r.buf) != 8000 {
-		t.Errorf("raw encoding = %d bytes, want 8000", len(r.buf))
-	}
-}
-
-func TestCompressionString(t *testing.T) {
-	if CompressionVarint.String() != "varint" || CompressionRaw.String() != "raw" ||
-		CompressionPacked.String() != "packed" {
-		t.Error("Compression.String mismatch")
-	}
-	if Compression(9).String() != "Compression(9)" {
-		t.Errorf("unknown compression String = %q", Compression(9).String())
-	}
-}
-
-// Property: positional posting lists round-trip arbitrary docs/positions
-// and the plain iterator sees the same (doc, freq) stream while skipping
-// positions.
+// Property: positional posting lists round-trip arbitrary docs and
+// positions through the positions stream, which ends exactly with the
+// list, and the plain iterator over the same doc/freq bytes sees the
+// same (doc, freq) stream.
 func TestPositionalRoundTripProperty(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw%32) + 1
-		enc := postingsEncoder{comp: CompressionVarint}
-		type pp struct {
-			doc  int32
-			poss []int32
-		}
-		var want []pp
+		n := int(nRaw) + 1
+		ps := make([]posting, n)
 		doc := int32(0)
-		for i := 0; i < n; i++ {
+		for i := range ps {
 			doc += int32(rng.Intn(1000) + 1)
-			k := rng.Intn(6) + 1
-			poss := make([]int32, k)
-			p := int32(0)
-			for j := range poss {
-				p += int32(rng.Intn(50) + 1)
-				poss[j] = p
-			}
-			enc.addWithPositions(doc, poss)
-			want = append(want, pp{doc, poss})
+			ps[i] = posting{doc, int32(rng.Intn(6) + 1)}
 		}
-		// Positional iterator sees everything.
-		pit := newPositionsIterator(enc.buf, enc.count)
-		for _, w := range want {
-			if !pit.Next() || pit.Doc() != w.doc || int(pit.Freq()) != len(w.poss) {
-				return false
-			}
-			got := pit.Positions()
-			if len(got) != len(w.poss) {
-				return false
-			}
-			for j := range got {
-				if got[j] != w.poss[j] {
-					return false
-				}
-			}
-		}
-		if pit.Next() {
+		pit := encodePositional(ps)
+		if !positionalEqual(pit, ps) {
 			return false
 		}
-		// Plain iterator skips positions but matches docs/freqs.
-		it := newPostingsIterator(CompressionVarint, enc.buf, enc.count)
-		it.positional = true
-		for _, w := range want {
-			if !it.Next() || it.Doc() != w.doc || int(it.Freq()) != len(w.poss) {
+		got := decodeAll(pit.it)
+		if len(got) != len(ps) {
+			return false
+		}
+		for i := range ps {
+			if got[i] != ps[i] {
 				return false
 			}
 		}
-		return !it.Next()
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

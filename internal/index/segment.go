@@ -21,7 +21,6 @@ type TermInfo struct {
 // Segment is an immutable searchable index over a set of documents.
 // Segments are safe for concurrent readers.
 type Segment struct {
-	comp      Compression
 	positions bool
 	bm25      BM25Params
 	terms     map[string]int32
@@ -36,9 +35,11 @@ type Segment struct {
 	skips     [][]skipEntry // per-term skip tables
 	// blockMaxes[id][j] is the maximum BM25 contribution within block j
 	// of term id's posting list (blocks of skipInterval postings, aligned
-	// with the skip table). nil on raw segments, which makes Block-Max
-	// pruning fall back to plain MaxScore.
+	// with the skip table).
 	blockMaxes [][]float32
+	// posStreams[id] is term id's positions stream on a positional
+	// segment (positions.go), else nil.
+	posStreams [][]byte
 	// lengthNorms[d] is BM25 LengthNorm of doc d under the segment's own
 	// average length: built with the segment, so searchers over it share
 	// one table.
@@ -100,9 +101,6 @@ func (s *Segment) buildLengthNorms() {
 	s.lengthNorms = s.bm25.lengthNorms(s.docLens, s.AvgDocLen())
 }
 
-// Compression returns the posting-list encoding.
-func (s *Segment) Compression() Compression { return s.comp }
-
 // Term reports the dictionary entry for term, if present.
 func (s *Segment) Term(term string) (TermInfo, bool) {
 	id, ok := s.terms[term]
@@ -150,10 +148,9 @@ func (s *Segment) PostingsByID(id int32) PostingsIterator {
 	if s.lazy != nil {
 		return s.lazyIterator(id, true)
 	}
-	it := newPostingsIterator(s.comp, s.postings[id], s.docFreqs[id])
-	it.positional = s.positions
-	s.applySkips(id, &it)
-	s.applyBlockMax(id, &it)
+	it := newPostingsIterator(s.postings[id], s.docFreqs[id])
+	it.skips = s.skips[id]
+	it.blockMaxes = s.blockMaxes[id]
 	return it
 }
 
@@ -167,22 +164,23 @@ func (s *Segment) PostingsWithoutSkips(term string) (PostingsIterator, bool) {
 	if s.lazy != nil {
 		return s.lazyIterator(id, false), true
 	}
-	it := newPostingsIterator(s.comp, s.postings[id], s.docFreqs[id])
-	it.positional = s.positions
-	return it, true
+	return newPostingsIterator(s.postings[id], s.docFreqs[id]), true
 }
 
-// PostingsBytes returns the total encoded posting-list bytes, used by the
-// characterization experiment for compression accounting. Lazy segments
-// report the size of the remote postings section; none of it need be
-// resident.
+// PostingsBytes returns the size of the postings section — the encoded
+// posting lists and any positions streams — used by the characterization
+// experiment for compression accounting. Lazy segments report the size
+// of the remote section; none of it need be resident.
 func (s *Segment) PostingsBytes() int64 {
 	if s.lazy != nil {
 		return s.lazy.offs[len(s.lazy.offs)-1]
 	}
 	var n int64
-	for _, p := range s.postings {
+	for id, p := range s.postings {
 		n += int64(len(p))
+		if s.positions {
+			n += int64(len(s.posStreams[id]))
+		}
 	}
 	return n
 }

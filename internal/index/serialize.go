@@ -113,26 +113,41 @@ func (rd *reader) str() string {
 // that deliver the wrong number of postings or documents out of range —
 // corruption the per-read decoders cannot always detect (a bit flip in a
 // varint delta still decodes, to a docID that would crash scoring
-// later). Runs before buildSkips so nothing downstream sees bad lists.
+// later). A positions stream must hold, per posting, increasing positions
+// inside the document and end exactly with the list. Runs before
+// buildSkips so nothing downstream sees bad lists.
 func (s *Segment) validatePostings() error {
 	numDocs := int32(len(s.docLens))
-	for id := range s.termList {
-		it := newPostingsIterator(s.comp, s.postings[id], s.docFreqs[id])
-		it.positional = s.positions
+	for id, term := range s.termList {
+		p := PositionsIterator{it: newPostingsIterator(s.postings[id], s.docFreqs[id])}
+		if s.positions {
+			p.stream = s.posStreams[id]
+		}
 		n := int32(0)
 		last := int32(-1)
-		for it.Next() {
-			d := it.Doc()
+		for (s.positions && p.Next()) || (!s.positions && p.it.Next()) {
+			d := p.Doc()
 			if d <= last || d >= numDocs {
 				return fmt.Errorf("index: term %q posting %d: docID %d out of order or range (prev %d, docs %d)",
-					s.termList[id], n, d, last, numDocs)
+					term, n, d, last, numDocs)
+			}
+			if s.positions {
+				prev := int32(-1)
+				for _, pos := range p.Positions() {
+					if pos <= prev || pos >= s.docLens[d] {
+						return fmt.Errorf("index: term %q doc %d: position %d out of order or range", term, d, pos)
+					}
+					prev = pos
+				}
 			}
 			last = d
 			n++
 		}
 		if n != s.docFreqs[id] {
-			return fmt.Errorf("index: term %q posting list decoded %d postings, want %d",
-				s.termList[id], n, s.docFreqs[id])
+			return fmt.Errorf("index: term %q posting list decoded %d postings, want %d", term, n, s.docFreqs[id])
+		}
+		if p.end != len(p.stream) {
+			return fmt.Errorf("index: term %q positions stream has %d trailing bytes", term, len(p.stream)-p.end)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -33,8 +34,8 @@ func segmentsEquivalent(t *testing.T, a, b *Segment) {
 		t.Fatalf("counts differ: %d/%d vs %d/%d",
 			a.NumDocs(), a.NumTerms(), b.NumDocs(), b.NumTerms())
 	}
-	if a.Compression() != b.Compression() {
-		t.Fatal("compression differs")
+	if a.HasPositions() != b.HasPositions() {
+		t.Fatal("positional flag differs")
 	}
 	if a.BM25() != b.BM25() {
 		t.Fatal("BM25 params differ")
@@ -64,6 +65,19 @@ func segmentsEquivalent(t *testing.T, a, b *Segment) {
 		if ib.Next() {
 			t.Fatalf("term %q: extra postings after round trip", term)
 		}
+		pa, ok := a.PositionsOf(term)
+		if !ok {
+			continue
+		}
+		pb, _ := b.PositionsOf(term)
+		for pa.Next() {
+			if !pb.Next() || pa.Doc() != pb.Doc() || !reflect.DeepEqual(pa.Positions(), pb.Positions()) {
+				t.Fatalf("term %q doc %d: positions differ", term, pa.Doc())
+			}
+		}
+		if pb.Next() {
+			t.Fatalf("term %q: extra positional postings", term)
+		}
 	}
 	for i := 0; i < a.NumDocs(); i++ {
 		if a.Doc(int32(i)) != b.Doc(int32(i)) {
@@ -80,8 +94,8 @@ func TestSerializeRoundTripTiny(t *testing.T) {
 	segmentsEquivalent(t, s, roundTrip(t, s))
 }
 
-func TestSerializeRoundTripRaw(t *testing.T) {
-	s := buildTiny(t, WithCompression(CompressionRaw))
+func TestSerializeRoundTripPositional(t *testing.T) {
+	s := buildTiny(t, WithPositions())
 	segmentsEquivalent(t, s, roundTrip(t, s))
 }
 
@@ -146,9 +160,9 @@ func TestReadSegmentUnknownCompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	data[8] = 7 // compression byte right after magic
-	if _, err := ReadSegment(bytes.NewReader(data)); err == nil {
-		t.Error("expected error for unknown compression")
+	data[8] = 7 // encoding byte right after magic
+	if _, err := ReadSegment(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("err = %v for an unknown encoding, want ErrBadFormat", err)
 	}
 }
 
@@ -172,28 +186,26 @@ func TestReadSegmentHugeCounts(t *testing.T) {
 	}
 }
 
-func TestReadSegmentRawShortPostings(t *testing.T) {
-	// Raw posting lists are decoded without per-read bounds checks, so a
-	// list shorter than 8*docFreq must be rejected at load, not panic at
-	// iteration.
-	b := NewBuilder(WithCompression(CompressionRaw))
-	b.AddDocument("solo", "alpha alpha beta", "doc:raw", 0.5)
-	var buf bytes.Buffer
-	if _, err := b.Finalize().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	// Chop trailing bytes: some prefixes cut inside a raw posting list.
-	for cut := 1; cut < 24 && cut < len(full); cut++ {
-		data := full[:len(full)-cut]
-		s, err := ReadSegment(bytes.NewReader(data))
-		if err != nil {
-			continue
+// TestReadSegmentBadPositionsStream: a positions stream that is cut
+// short or carries bytes past its last posting's positions is rejected
+// at load, framed consistently in the dictionary or not.
+func TestReadSegmentBadPositionsStream(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func([]byte) []byte
+	}{
+		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"trailing", func(b []byte) []byte { return append(b, 0) }},
+	} {
+		s := buildTiny(t, WithPositions())
+		ti, _ := s.Term("gamma")
+		s.posStreams[ti.ID] = tc.edit(append([]byte(nil), s.posStreams[ti.ID]...))
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
 		}
-		for id := range s.termList {
-			it := s.PostingsByID(int32(id))
-			for it.Next() {
-			}
+		if _, err := ReadSegment(&buf); err == nil {
+			t.Errorf("%s positions stream accepted", tc.name)
 		}
 	}
 }

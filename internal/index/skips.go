@@ -19,9 +19,9 @@ import "math"
 // single posting. Block maxima are serialized too — they are exactly the
 // per-block impact scores Lucene stores next to its skip data.
 //
-// Packed posting lists reuse this block structure directly:
-// packedBlockLen == skipInterval, so every bit-packed block is one skip
-// block and one block-max block.
+// Posting lists reuse this block structure directly: packedBlockLen ==
+// skipInterval, so every bit-packed block is one skip block and one
+// block-max block.
 
 const (
 	// skipInterval is the number of postings between checkpoints. It is
@@ -40,19 +40,14 @@ type skipEntry struct {
 }
 
 // buildSkips constructs skip tables for all qualifying posting lists.
-// Raw-compression segments need none: their fixed-width records support
-// direct binary search. Packed lists share the varint path — skipInterval
-// equals packedBlockLen, so every checkpoint lands exactly on a packed
-// block boundary (the iterator's byte position just after posting
-// k·skipInterval is the start of block k+1).
+// skipInterval equals packedBlockLen, so every checkpoint lands exactly
+// on a packed block boundary (the iterator's byte position just after
+// posting k·skipInterval is the start of block k+1).
 func (s *Segment) buildSkips() {
-	if s.comp == CompressionRaw {
-		return
-	}
 	s.skips = make([][]skipEntry, len(s.postings))
-	for id := range s.postings {
+	for id, buf := range s.postings {
 		if s.docFreqs[id] >= skipMinDocFreq {
-			s.skips[id] = skipTable(s.PostingsByID(int32(id)))
+			s.skips[id] = skipTable(newPostingsIterator(buf, s.docFreqs[id]))
 		}
 	}
 }
@@ -67,13 +62,6 @@ func skipTable(it PostingsIterator) []skipEntry {
 		}
 	}
 	return table
-}
-
-// applySkips attaches a term's skip table to an iterator.
-func (s *Segment) applySkips(id int32, it *PostingsIterator) {
-	if s.skips != nil {
-		it.skips = s.skips[id]
-	}
 }
 
 // seekSkip jumps the iterator to the last checkpoint strictly before
@@ -110,10 +98,10 @@ func (it *PostingsIterator) seekSkip(target int32) {
 	it.count = it.initCount - e.used
 }
 
-// numBlocksFor returns the number of block-max blocks a varint or packed
-// posting list of the given length carries. Lists long enough for a skip table
-// get one block per checkpoint plus a final (possibly partial) block;
-// shorter lists are a single block bounded by the term-level MaxScore.
+// numBlocksFor returns the number of block-max blocks a posting list of
+// the given length carries. Lists long enough for a skip table get one
+// block per checkpoint plus a final (possibly partial) block; shorter
+// lists are a single block bounded by the term-level MaxScore.
 func numBlocksFor(df int32) int {
 	if df < skipMinDocFreq {
 		return 1
@@ -131,16 +119,10 @@ func quantizeUp(x float64) float32 {
 	return f
 }
 
-// computeBlockMaxes records, for every varint or packed posting list,
-// the maximum BM25 contribution within each skipInterval-long block.
-// Raw-compression segments carry no block metadata (Block-Max evaluation
-// falls back to plain MaxScore there). Must run after computeMaxScores
-// and buildSkips.
+// computeBlockMaxes records, for every posting list, the maximum BM25
+// contribution within each skipInterval-long block. Must run after
+// computeMaxScores.
 func (s *Segment) computeBlockMaxes() {
-	if s.comp == CompressionRaw {
-		s.blockMaxes = nil
-		return
-	}
 	n := int64(len(s.docLens))
 	s.blockMaxes = make([][]float32, len(s.postings))
 	for id := range s.postings {
@@ -153,7 +135,7 @@ func (s *Segment) computeBlockMaxes() {
 		}
 		idf := IDF(n, int64(df))
 		blocks := make([]float32, numBlocksFor(df))
-		it := s.PostingsByID(int32(id))
+		it := newPostingsIterator(s.postings[id], df)
 		var blockMax float64
 		for i := int32(1); it.Next(); i++ {
 			sc := s.bm25.ScoreNorm(idf, it.Freq(), s.lengthNorms[it.Doc()])
@@ -169,21 +151,6 @@ func (s *Segment) computeBlockMaxes() {
 		s.blockMaxes[id] = blocks
 	}
 }
-
-// applyBlockMax attaches a term's block maxima to an iterator.
-func (s *Segment) applyBlockMax(id int32, it *PostingsIterator) {
-	if s.blockMaxes != nil {
-		it.blockMaxes = s.blockMaxes[id]
-	}
-}
-
-// HasBlockMax reports whether the segment carries block-max metadata:
-// true for varint and packed segments, false for raw ones.
-func (s *Segment) HasBlockMax() bool { return s.blockMaxes != nil }
-
-// HasBlockMax reports whether per-block score bounds are available on
-// this iterator.
-func (it *PostingsIterator) HasBlockMax() bool { return len(it.blockMaxes) > 0 }
 
 // NextShallow advances the shallow block cursor — without decoding any
 // posting — to the first block that can contain a docID >= target. It
@@ -205,8 +172,8 @@ func (it *PostingsIterator) NextShallow(target int32) bool {
 
 // BlockMax returns an upper bound on the term's BM25 contribution over
 // the current shallow block (the block NextShallow last positioned on).
-// With no block metadata it returns +Inf so a caller that skipped the
-// HasBlockMax check can never prune incorrectly.
+// With no block metadata (an iterator without skips) it returns +Inf, so
+// it never prunes incorrectly.
 func (it *PostingsIterator) BlockMax() float64 {
 	if it.shallow < len(it.blockMaxes) {
 		return float64(it.blockMaxes[it.shallow])

@@ -79,9 +79,8 @@ func TestSkipToWithTableMatchesLinear(t *testing.T) {
 // checks the answer against ref, the list's postings in doc order. *cur,
 // the index in ref of the iterator's posting, moves the way the call must
 // move the iterator. A run must be every posting from the current one up
-// to target that lies in the current block: for packed lists, the
-// packedBlockLen-long block holding *cur; for the others, *cur alone. It
-// reports whether the iterator still holds a posting, and how the call
+// to target that lies in the current block, the packedBlockLen-long
+// block holding *cur. It reports whether the iterator still holds a posting, and how the call
 // disagreed with ref, if it did.
 func replaySkipOp(it *PostingsIterator, ref []posting, cur *int, target int32, run bool) (bool, error) {
 	var ok bool
@@ -90,10 +89,7 @@ func replaySkipOp(it *PostingsIterator, ref []posting, cur *int, target int32, r
 		docs, freqs := it.Run(target)
 		want := 0
 		if *cur >= 0 && *cur < len(ref) && ref[*cur].doc < target {
-			end := *cur + 1
-			if it.comp == CompressionPacked {
-				end = min(len(ref), (*cur/packedBlockLen+1)*packedBlockLen)
-			}
+			end := min(len(ref), (*cur/packedBlockLen+1)*packedBlockLen)
 			want = sort.Search(end-*cur, func(k int) bool { return ref[*cur+k].doc >= target })
 		}
 		if len(docs) != want || len(freqs) != want {
@@ -132,33 +128,28 @@ func replaySkipOp(it *PostingsIterator, ref []posting, cur *int, target int32, r
 // landing on the first posting at or above its target, staying put on a
 // target at or below the current doc, and reporting the end past the last
 // one, Run returning the current block's postings below its target — for
-// every encoding, positional and lazy lists, and every list shape: a
-// varint tail alone and one full block plus a tail (no skip table below
+// resident, positional and lazy lists, and every list shape: a varint
+// tail alone and one full block plus a tail (no skip table below
 // skipMinDocFreq), exactly two full blocks (a table, no tail), many
 // blocks plus a tail, and a list in every document (every gap packs at
-// width 0). The reference is the raw list walked by Next.
+// width 0). The reference is the generated postings.
 func TestSkipEquivalenceProperty(t *testing.T) {
 	const docs = 3000
 	dfs := []int{40, 100, skipMinDocFreq, 1500, docs}
-	build := func(opts ...BuilderOption) *Segment {
+	build := func(opts ...BuilderOption) (*Segment, [][]posting) {
 		return randomListsSegment(rand.New(rand.NewSource(17)), docs, dfs, opts...)
 	}
-	segs := map[string]*Segment{
-		"packed":     build(),
-		"varint":     build(WithCompression(CompressionVarint)),
-		"raw":        build(WithCompression(CompressionRaw)),
-		"positional": build(WithPositions(), WithAnalyzer(&textproc.Analyzer{DisableStemming: true})),
+	packed, refs := build()
+	positional, _ := build(WithPositions(), WithAnalyzer(&textproc.Analyzer{DisableStemming: true}))
+	segs := map[string]*Segment{"packed": packed, "positional": positional}
+	for _, name := range []string{"packed", "positional"} {
+		var buf bytes.Buffer
+		if _, err := segs[name].WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		segs["lazy-"+name], _ = lazyFromBytes(t, buf.Bytes())
 	}
-	var buf bytes.Buffer
-	if _, err := segs["packed"].WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	segs["lazy-packed"], _ = lazyFromBytes(t, buf.Bytes())
-	refs := make([][]posting, len(dfs))
-	for l := range refs {
-		refs[l] = decodeAll(segs["raw"].PostingsByID(int32(l)))
-	}
-	names := []string{"packed", "varint", "raw", "positional", "lazy-packed"}
+	names := []string{"packed", "positional", "lazy-packed", "lazy-positional"}
 	f := func(seed int64, which, list uint8, withSkips bool) bool {
 		s := segs[names[int(which)%len(names)]]
 		l := int(list) % len(refs)
@@ -215,8 +206,8 @@ func TestSkipEquivalenceProperty(t *testing.T) {
 // right after the last one read is sequential and earns read-ahead.
 func TestSkipToReadsOnlyLandingBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	s := randomListsSegment(rng, 6000, []int{2500})
-	ref := decodeAll(s.PostingsByID(0))
+	s, refs := randomListsSegment(rng, 6000, []int{2500})
+	ref := refs[0]
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -260,21 +251,6 @@ func TestSkipToReadsOnlyLandingBlocks(t *testing.T) {
 		if !returned[b] {
 			t.Errorf("block %d was read but SkipTo returned none of its postings", b)
 		}
-	}
-}
-
-func TestRawSeekDirect(t *testing.T) {
-	s := buildLongList(t, 500, WithCompression(CompressionRaw))
-	it, _ := s.Postings("common")
-	if !it.SkipTo(321) || it.Doc() != 321 {
-		t.Fatalf("raw SkipTo(321) -> %d", it.Doc())
-	}
-	// Backwards target after forward movement stays put.
-	if !it.SkipTo(100) || it.Doc() != 321 {
-		t.Fatalf("raw backwards SkipTo moved to %d", it.Doc())
-	}
-	if it.SkipTo(500) {
-		t.Fatal("SkipTo past the end returned true")
 	}
 }
 

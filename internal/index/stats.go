@@ -13,10 +13,7 @@ type Stats struct {
 	AvgDocLen        float64
 	PostingsBytes    int64
 	RawPostingsBytes int64 // 8 bytes per posting, the uncompressed size
-	// Encoding names the segment's posting-list encoding;
-	// CompressionRatio is raw bytes over actual bytes for that encoding
-	// (1.0 for raw itself).
-	Encoding         string
+	// CompressionRatio is raw bytes over actual postings bytes.
 	CompressionRatio float64
 
 	// Posting-list length distribution (document frequencies).
@@ -62,7 +59,6 @@ func (s *Segment) ComputeStats(topN int) Stats {
 	}
 	st.PostingsBytes = s.PostingsBytes()
 	st.RawPostingsBytes = st.TotalPostings * 8
-	st.Encoding = s.comp.String()
 	if st.PostingsBytes > 0 {
 		st.CompressionRatio = float64(st.RawPostingsBytes) / float64(st.PostingsBytes)
 	}

@@ -12,20 +12,23 @@ import (
 // reads. It is laid out in independently addressable sections so a
 // remote reader can open a segment without streaming the whole file:
 //
-//	[header]   magic "WSBIDX05", compression, flags, BM25 params, counts
+//	[header]   magic "WSBIDX05", encoding byte (always 2, packed),
+//	           flags (bit 0: positional), BM25 params, counts
 //	[docs]     document lengths and stored fields
 //	[dict]     per-term dictionary entries: term, docFreq, collFreq,
-//	           maxScore, posting-list byte length, block-max bounds,
-//	           and the serialized skip table (doc, byte pos, used)
-//	[postings] the encoded posting lists, concatenated in term order
+//	           maxScore, posting-list byte length, positions-stream
+//	           byte length (positional segments only), block-max
+//	           bounds, and the serialized skip table (doc, byte pos, used)
+//	[postings] per term in term order, the packed posting list followed
+//	           by its positions stream (positional segments only)
 //	[footer]   fixed 40 bytes: docOff, dictOff, postOff, fileSize, magic
 //
 // The footer is the entry point for range readers: fetch the last
 // SegmentFooterLen bytes, then the [0, postOff) prefix — everything a
 // searcher needs except posting bytes — and demand-load individual
 // posting blocks with range reads. Serialized skip tables are what make
-// that possible: their byte positions are exactly the packed/varint
-// block boundaries, so block k of a term's list is the range between
+// that possible: their byte positions are exactly the packed block
+// boundaries, so block k of a term's list is the range between
 // consecutive checkpoints and can be fetched without decoding anything
 // before it.
 
@@ -33,6 +36,10 @@ import (
 const SegmentFooterLen = 40
 
 var segmentMagic = [8]byte{'W', 'S', 'B', 'I', 'D', 'X', '0', '5'}
+
+// packedEncoding is the header's encoding byte. Packed is the only
+// posting-list format; other values come from retired encodings.
+const packedEncoding = 2
 
 // SegmentLayout is the section map carried by a v05 footer. Offsets are
 // absolute file offsets; FileSize includes the footer itself.
@@ -71,7 +78,7 @@ func (s *Segment) WriteTo(w io.Writer) (int64, error) {
 	}
 	cw := &countingWriter{w: bufio.NewWriter(w)}
 	cw.write(segmentMagic[:])
-	cw.u8(uint8(s.comp))
+	cw.u8(packedEncoding)
 	flags := uint8(0)
 	if s.positions {
 		flags |= 1
@@ -101,20 +108,15 @@ func (s *Segment) WriteTo(w io.Writer) (int64, error) {
 		cw.u64(uint64(s.collFreqs[id]))
 		cw.f32(s.maxScores[id])
 		cw.uvarint(uint64(len(s.postings[id])))
-		var blocks []float32
-		if s.blockMaxes != nil {
-			blocks = s.blockMaxes[id]
+		if s.positions {
+			cw.uvarint(uint64(len(s.posStreams[id])))
 		}
-		cw.uvarint(uint64(len(blocks)))
-		for _, m := range blocks {
+		cw.uvarint(uint64(len(s.blockMaxes[id])))
+		for _, m := range s.blockMaxes[id] {
 			cw.f32(m)
 		}
-		var table []skipEntry
-		if s.skips != nil {
-			table = s.skips[id]
-		}
-		cw.uvarint(uint64(len(table)))
-		for _, e := range table {
+		cw.uvarint(uint64(len(s.skips[id])))
+		for _, e := range s.skips[id] {
 			cw.uvarint(uint64(e.doc))
 			cw.uvarint(uint64(e.pos))
 			cw.uvarint(uint64(e.used))
@@ -124,6 +126,9 @@ func (s *Segment) WriteTo(w io.Writer) (int64, error) {
 	postOff := cw.n
 	for id := range s.termList {
 		cw.write(s.postings[id])
+		if s.positions {
+			cw.write(s.posStreams[id])
+		}
 	}
 
 	fileSize := cw.n + SegmentFooterLen
@@ -140,11 +145,13 @@ func (s *Segment) WriteTo(w io.Writer) (int64, error) {
 
 // segMeta is the decoded non-postings portion of a v05 segment: the
 // segment itself (postings empty), the serialized skip tables, and the
-// per-term posting-list byte lengths.
+// per-term posting-list and positions-stream byte lengths (posLens nil on
+// non-positional segments).
 type segMeta struct {
-	seg   *Segment
-	skips [][]skipEntry
-	plens []int64
+	seg     *Segment
+	skips   [][]skipEntry
+	plens   []int64
+	posLens []int64
 }
 
 // readSegMeta decodes the magic, header, doc section and dict section
@@ -163,20 +170,15 @@ func readSegMeta(rd *reader) (*segMeta, error) {
 		return nil, ErrBadFormat
 	}
 	s := &Segment{}
-	s.comp = Compression(rd.u8())
-	switch s.comp {
-	case CompressionVarint, CompressionRaw, CompressionPacked:
-	default:
-		return nil, fmt.Errorf("index: unknown compression %d", s.comp)
+	if enc := rd.u8(); rd.err == nil && enc != packedEncoding {
+		return nil, fmt.Errorf("%w: posting encoding %d is not supported (only packed, %d, is); rebuild the index with cmd/indexer",
+			ErrBadFormat, enc, packedEncoding)
 	}
 	flags := rd.u8()
 	if flags&^uint8(1) != 0 {
 		return nil, fmt.Errorf("index: unknown flags %#x", flags)
 	}
 	s.positions = flags&1 != 0
-	if s.positions && s.comp != CompressionVarint {
-		return nil, fmt.Errorf("index: positional segment with %v compression", s.comp)
-	}
 	s.bm25.K1 = rd.f64()
 	s.bm25.B = rd.f64()
 	numDocs := rd.u32()
@@ -223,9 +225,7 @@ func readSegMeta(rd *reader) (*segMeta, error) {
 	s.docFreqs = make([]int32, 0, prealloc)
 	s.collFreqs = make([]int64, 0, prealloc)
 	s.maxScores = make([]float32, 0, prealloc)
-	if s.comp != CompressionRaw {
-		s.blockMaxes = make([][]float32, 0, prealloc)
-	}
+	s.blockMaxes = make([][]float32, 0, prealloc)
 	m := &segMeta{seg: s}
 	m.skips = make([][]skipEntry, 0, prealloc)
 	m.plens = make([]int64, 0, prealloc)
@@ -235,25 +235,21 @@ func readSegMeta(rd *reader) (*segMeta, error) {
 		cf := int64(rd.u64())
 		maxScore := rd.f32()
 		plen := rd.uvarint()
+		var posLen uint64
+		if s.positions {
+			posLen = rd.uvarint()
+		}
 		if rd.err != nil {
 			return nil, fmt.Errorf("index: term %d dictionary entry: %w", id, rd.err)
 		}
 		if df < 0 || uint32(df) > numDocs {
 			return nil, fmt.Errorf("index: term %q doc freq %d exceeds %d documents", t, df, numDocs)
 		}
-		if plen > maxStringLen*16 {
-			return nil, fmt.Errorf("index: posting list length %d exceeds limit", plen)
-		}
-		if s.comp == CompressionRaw && plen != uint64(df)*8 {
-			// Raw lists are fixed 8-byte records and are decoded without
-			// per-read bounds checks; a short list must be rejected here.
-			return nil, fmt.Errorf("index: term %q raw posting list is %d bytes, want %d", t, plen, df*8)
+		if plen > maxStringLen*16 || posLen > maxStringLen*16 {
+			return nil, fmt.Errorf("index: posting list length %d+%d exceeds limit", plen, posLen)
 		}
 		nBlocks := rd.uvarint()
-		want := 0
-		if s.comp != CompressionRaw {
-			want = numBlocksFor(df)
-		}
+		want := numBlocksFor(df)
 		if rd.err == nil && int(nBlocks) != want {
 			return nil, fmt.Errorf("index: term %q has %d block maxima, want %d", t, nBlocks, want)
 		}
@@ -263,7 +259,7 @@ func readSegMeta(rd *reader) (*segMeta, error) {
 		}
 		nSkips := rd.uvarint()
 		wantSkips := 0
-		if s.comp != CompressionRaw && df >= skipMinDocFreq {
+		if df >= skipMinDocFreq {
 			wantSkips = int(df / skipInterval)
 		}
 		if rd.err == nil && int(nSkips) != wantSkips {
@@ -299,11 +295,12 @@ func readSegMeta(rd *reader) (*segMeta, error) {
 		s.docFreqs = append(s.docFreqs, df)
 		s.collFreqs = append(s.collFreqs, cf)
 		s.maxScores = append(s.maxScores, maxScore)
-		if s.comp != CompressionRaw {
-			s.blockMaxes = append(s.blockMaxes, blocks)
-		}
+		s.blockMaxes = append(s.blockMaxes, blocks)
 		m.skips = append(m.skips, table)
 		m.plens = append(m.plens, int64(plen))
+		if s.positions {
+			m.posLens = append(m.posLens, int64(posLen))
+		}
 	}
 	return m, nil
 }
@@ -326,6 +323,11 @@ func ReadSegment(r io.Reader) (*Segment, error) {
 	for id, plen := range m.plens {
 		buf := make([]byte, plen)
 		rd.read(buf)
+		if s.positions {
+			stream := make([]byte, m.posLens[id])
+			rd.read(stream)
+			s.posStreams = append(s.posStreams, stream)
+		}
 		if rd.err != nil {
 			return nil, fmt.Errorf("index: term %q postings: %w", s.termList[id], rd.err)
 		}
@@ -344,10 +346,7 @@ func ReadSegment(r io.Reader) (*Segment, error) {
 	}
 	s.buildSkips()
 	for id := range s.termList {
-		var derived []skipEntry
-		if s.skips != nil {
-			derived = s.skips[id]
-		}
+		derived := s.skips[id]
 		if len(derived) != len(m.skips[id]) {
 			return nil, fmt.Errorf("index: term %q serialized skip table has %d entries, derived %d",
 				s.termList[id], len(m.skips[id]), len(derived))
@@ -405,16 +404,19 @@ type lazyPostings struct {
 	// offs[i] is term i's posting-list start within the postings
 	// section; offs[len] is the section's total length.
 	offs []int64
+	// posLens[i] is the length of term i's positions stream, which ends
+	// its share of the section (nil on non-positional segments).
+	posLens []int64
 }
 
 // OpenLazySegment opens a v05 segment from its metadata prefix — the
 // file bytes [0, layout.PostOff), i.e. header, doc and dict sections —
 // without its postings. Posting blocks are read through src: short
-// lists (and raw-encoded ones) are a single block, long varint/packed
-// lists one block per skip interval, which is what makes a searcher
-// over such a segment serve from a byte-budgeted block cache instead of
-// resident posting data. The returned segment supports everything an
-// in-memory segment does except re-serialization.
+// lists are a single block, long lists one block per skip interval, and
+// a positions stream is one more block after them, which is what makes
+// a searcher over such a segment serve from a byte-budgeted block cache
+// instead of resident posting data. The returned segment supports
+// everything an in-memory segment does except re-serialization.
 func OpenLazySegment(meta []byte, src BlockReader) (*Segment, error) {
 	if src == nil {
 		return nil, fmt.Errorf("index: OpenLazySegment requires a block reader")
@@ -426,9 +428,12 @@ func OpenLazySegment(meta []byte, src BlockReader) (*Segment, error) {
 	}
 	s := m.seg
 	s.skips = m.skips
-	lz := &lazyPostings{src: src, offs: make([]int64, len(m.plens)+1)}
+	lz := &lazyPostings{src: src, offs: make([]int64, len(m.plens)+1), posLens: m.posLens}
 	for i, plen := range m.plens {
 		lz.offs[i+1] = lz.offs[i] + plen
+		if s.positions {
+			lz.offs[i+1] += m.posLens[i]
+		}
 	}
 	s.lazy = lz
 	return s, nil
@@ -442,9 +447,9 @@ func (s *Segment) IsLazy() bool { return s.lazy != nil }
 // searcher takes every iterator of the query from it, calls Prefetch
 // once all terms are resolved, and asks Incomplete when it is done.
 // All reads of posting bytes — the per-query plan, a miss during
-// evaluation and its read-ahead, a positional list read whole — are the
-// same operation: plan the runs of non-resident blocks in a block
-// range, read them in one ReadRuns call. Blocks a query has read stay
+// evaluation and its read-ahead, a positions stream — are the same
+// operation: plan the runs of non-resident blocks in a block range,
+// read them in one ReadRuns call. Blocks a query has read stay
 // held by it, so evaluation never depends on the cache keeping them.
 // A LazyQuery is used by one goroutine.
 type LazyQuery struct {
@@ -461,13 +466,19 @@ func (s *Segment) NewLazyQuery() *LazyQuery { return &LazyQuery{seg: s, src: s.l
 // lazyList is one posting list within a LazyQuery. Block b of the list
 // spans [table[b-1].pos, table[b].pos), block 0 starting at 0 and the
 // last block running to plen; a list without a skip table is one block.
+// On a positional segment the positions stream is one more block, index
+// blocks, spanning the posLen bytes after plen.
 type lazyList struct {
-	q     *LazyQuery
-	id    int32
-	start int64 // list start within the postings section
-	plen  int64
-	table []skipEntry
-	held  [][]byte // held[b] is block b once this query has read it
+	q      *LazyQuery
+	id     int32
+	start  int64 // list start within the postings section
+	plen   int64 // length of the doc/freq part
+	posLen int64 // length of the positions stream
+	table  []skipEntry
+	blocks int      // doc/freq blocks
+	held   [][]byte // held[b] is block b once this query has read it
+	// positions marks a list the query reads the positions stream of.
+	positions bool
 	// counted is the number of leading blocks already reported through
 	// Needed; iterators only move forward, so a block below it is never
 	// first asked for again.
@@ -488,86 +499,61 @@ func (q *LazyQuery) list(id int32) *lazyList {
 	}
 	lz := q.seg.lazy
 	l := &lazyList{q: q, id: id, start: lz.offs[id], plen: lz.offs[id+1] - lz.offs[id], table: q.seg.skips[id], ahead: 1}
-	n := len(l.table) + 1
-	if l.plen == 0 || (len(l.table) > 0 && int64(l.table[len(l.table)-1].pos) == l.plen) {
-		n-- // nothing follows the last checkpoint
+	if lz.posLens != nil {
+		l.posLen = lz.posLens[id]
+		l.plen -= l.posLen
 	}
-	l.held = make([][]byte, n)
+	l.blocks = len(l.table) + 1
+	if l.plen == 0 || (len(l.table) > 0 && int64(l.table[len(l.table)-1].pos) == l.plen) {
+		l.blocks-- // nothing follows the last checkpoint
+	}
+	l.held = make([][]byte, l.blocks+1) // the last is the positions stream
 	q.lists = append(q.lists, l)
 	return l
 }
 
 // Postings returns an iterator over term id's list whose blocks are
-// read through the query. Nothing is read here except a raw-encoded
-// list, which decodes from one resident buffer rather than a window.
+// read through the query. Nothing is read here.
 func (q *LazyQuery) Postings(id int32, withSkips bool) PostingsIterator {
-	s := q.seg
-	df := s.docFreqs[id]
-	it := PostingsIterator{comp: s.comp, count: df, initCount: df, doc: -1}
-	it.positional = s.positions
+	df := q.seg.docFreqs[id]
+	it := PostingsIterator{count: df, initCount: df, doc: -1}
 	l := q.list(id)
 	if withSkips {
 		it.skips = l.table
-		s.applyBlockMax(id, &it)
-	}
-	if s.comp == CompressionRaw {
-		if len(l.held) > 0 {
-			it.buf = l.block(0)
-		}
-		if it.buf == nil {
-			it.count = 0 // raw decoding indexes buf directly
-		}
-		it.win = it.buf
-		return it
+		it.blockMaxes = q.seg.blockMaxes[id]
 	}
 	it.fetch = l.window
 	return it
 }
 
-// Positions returns a positional iterator over term id's list, read
-// whole: phrase evaluation random-accesses it. A failed read yields an
-// exhausted iterator and an incomplete query.
+// Positions returns a positional iterator over term id's list. Its
+// positions stream is read with the query's Prefetch, else on the
+// iterator's first Next. A failed read yields an exhausted iterator and
+// an incomplete query.
 func (q *LazyQuery) Positions(id int32) PositionsIterator {
-	return newPositionsIterator(q.listBytes(id), q.seg.docFreqs[id])
-}
-
-// listBytes materializes term id's whole list, nil if a read failed.
-func (q *LazyQuery) listBytes(id int32) []byte {
 	l := q.list(id)
-	n := len(l.held)
-	hits, misses := l.plan(0, n, n)
-	q.read()
-	l.count(n, hits, misses)
-	if n == 1 {
-		return l.held[0]
-	}
-	var buf []byte
-	for _, blk := range l.held {
-		if blk == nil {
-			return nil
-		}
-		buf = append(buf, blk...)
-	}
-	return buf
+	l.positions = true
+	return PositionsIterator{it: q.Postings(id, false), list: l}
 }
 
-// lazyIterator and lazyListBytes serve the segment's own Postings and
-// PositionsOf on a lazy segment, each call a LazyQuery of its own.
+// lazyIterator serves the segment's own Postings on a lazy segment, each
+// call a LazyQuery of its own.
 func (s *Segment) lazyIterator(id int32, withSkips bool) PostingsIterator {
 	return s.NewLazyQuery().Postings(id, withSkips)
 }
 
-func (s *Segment) lazyListBytes(id int32) []byte { return s.NewLazyQuery().listBytes(id) }
-
 // Prefetch reads, in one concurrent round of ranged reads, what the
 // query's lists need first: every block when the evaluation strategy
-// consumes its lists whole, else each list's first block — a strategy
-// that may skip fetches the rest as it gets there.
+// consumes its lists whole (positions streams included, for the lists
+// the query reads positions of), else each list's first block — a
+// strategy that may skip fetches the rest as it gets there.
 func (q *LazyQuery) Prefetch(whole bool) {
 	for _, l := range q.lists {
-		to := len(l.held)
-		if !whole && to > 1 {
-			to = 1
+		to := l.blocks
+		if !whole {
+			to = min(to, 1)
+		} else if l.positions {
+			to++ // the positions stream
 		}
 		hits, misses := l.plan(0, to, to)
 		l.count(to, hits, misses)
@@ -597,6 +583,9 @@ func (q *LazyQuery) read() {
 
 // bounds returns block b's byte range within the list.
 func (l *lazyList) bounds(b int) (lo, hi int64) {
+	if b == l.blocks { // the positions stream
+		return l.plen, l.plen + l.posLen
+	}
 	if b > 0 {
 		lo = int64(l.table[b-1].pos)
 	}
@@ -668,7 +657,7 @@ func (l *lazyList) block(b int) []byte {
 			} else {
 				l.ahead = 1
 			}
-			l.plan(b, min(b+l.ahead, len(l.held)), b+1)
+			l.plan(b, min(b+l.ahead, l.blocks), b+1)
 			l.q.read()
 			data = l.held[b]
 		}
@@ -678,13 +667,26 @@ func (l *lazyList) block(b int) []byte {
 	return data
 }
 
+// positionsStream returns the list's positions stream: what the query
+// holds, else the resident copy, else a read of it alone. nil means the
+// read failed.
+func (l *lazyList) positionsStream() []byte {
+	b := l.blocks
+	if l.held[b] == nil {
+		hits, misses := l.plan(b, b+1, b+1)
+		l.q.read()
+		l.q.src.Needed(hits, misses)
+	}
+	return l.held[b]
+}
+
 // window is the iterator's fetch hook: the block containing byte
 // offset pos of the list and that block's offset. A failed read, or a
 // pos outside the list, yields an empty window, which every decode path
 // treats as the end of the list.
 func (l *lazyList) window(pos int) ([]byte, int) {
 	b := blockForPos(l.table, pos)
-	if b >= len(l.held) {
+	if b >= l.blocks {
 		return nil, pos
 	}
 	lo, hi := l.bounds(b)

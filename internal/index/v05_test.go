@@ -13,13 +13,13 @@ import (
 // buildSkippy builds a corpus segment big enough that common terms
 // cross the skip-list threshold, so lazy reads are genuinely
 // block-granular.
-func buildSkippy(t testing.TB) *Segment {
+func buildSkippy(t testing.TB, opts ...BuilderOption) *Segment {
 	t.Helper()
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = 1200
 	cfg.VocabSize = 2000
 	cfg.MeanBodyTerms = 60
-	s, err := BuildFromCorpus(cfg)
+	s, err := BuildFromCorpus(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestParseSegmentFooterRejectsGarbage(t *testing.T) {
 // ErrBadFormat that names the version, not loaded.
 func TestRetiredFormatsRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := NewBuilder(WithCompression(CompressionVarint)).Finalize().WriteTo(&buf); err != nil {
+	if _, err := NewBuilder().Finalize().WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range []string{"02", "03", "04"} {
@@ -143,38 +143,22 @@ func lazyFromBytes(t testing.TB, data []byte) (*Segment, *memReader) {
 	return seg, rd
 }
 
+// TestLazySegmentEquivalence: a lazily opened segment, plain or
+// positional, serves the same postings and positions as the resident one.
 func TestLazySegmentEquivalence(t *testing.T) {
-	s := buildSkippy(t)
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lazy, rd := lazyFromBytes(t, buf.Bytes())
-	if !lazy.IsLazy() {
-		t.Fatal("segment not marked lazy")
-	}
-	segmentsEquivalent(t, s, lazy)
-	if rd.reads == 0 {
-		t.Fatal("equivalence walk issued no block reads")
-	}
-	// Positions decode through the lazy whole-list path too.
-	term := s.Terms()[0]
-	wantIt, ok1 := s.PositionsOf(term)
-	gotIt, ok2 := lazy.PositionsOf(term)
-	if ok1 != ok2 {
-		t.Fatalf("PositionsOf availability differs: %v vs %v", ok1, ok2)
-	}
-	if ok1 {
-		for wantIt.Next() {
-			if !gotIt.Next() {
-				t.Fatal("lazy positions truncated")
-			}
-			if wantIt.Doc() != gotIt.Doc() {
-				t.Fatal("lazy positions doc differs")
-			}
+	for _, opts := range [][]BuilderOption{nil, {WithPositions()}} {
+		s := buildSkippy(t, opts...)
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
 		}
-		if gotIt.Next() {
-			t.Fatal("lazy positions has extra entries")
+		lazy, rd := lazyFromBytes(t, buf.Bytes())
+		if !lazy.IsLazy() {
+			t.Fatal("segment not marked lazy")
+		}
+		segmentsEquivalent(t, s, lazy)
+		if rd.reads == 0 {
+			t.Fatal("equivalence walk issued no block reads")
 		}
 	}
 }
@@ -194,7 +178,12 @@ func TestLazySegmentTinyAndEmpty(t *testing.T) {
 // list early without a crash — there is no error path out of an
 // iterator — and marks the query it belongs to incomplete.
 func TestLazySegmentFetchFailure(t *testing.T) {
-	s := buildSkippy(t)
+	for _, opts := range [][]BuilderOption{nil, {WithPositions()}} {
+		lazySegmentFetchFailure(t, buildSkippy(t, opts...))
+	}
+}
+
+func lazySegmentFetchFailure(t *testing.T, s *Segment) {
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -217,7 +206,9 @@ func TestLazySegmentFetchFailure(t *testing.T) {
 		}
 		if lazy.HasPositions() {
 			q = lazy.NewLazyQuery()
-			if pit := q.Positions(ti.ID); pit.Next() || !q.Incomplete() {
+			pit := q.Positions(ti.ID)
+			q.Prefetch(true)
+			if pit.Next() || !q.Incomplete() {
 				t.Fatalf("term %q: failed positional read not reported", term)
 			}
 		}

@@ -1,7 +1,7 @@
 // Package index implements the engine's inverted index: a term dictionary,
-// delta+varint compressed posting lists, per-document metadata (lengths,
-// stored fields), an in-memory builder, an immutable searchable segment,
-// and a binary serialization format. Its anatomy mirrors the Lucene index
+// bit-packed block posting lists with optional positions streams,
+// per-document metadata (lengths, stored fields), an in-memory builder,
+// an immutable searchable segment, and a binary serialization format. Its anatomy mirrors the Lucene index
 // the characterized benchmark serves, so dictionary-lookup and
 // postings-traversal costs have the same structure.
 package index

@@ -98,9 +98,8 @@ func sameUpToTies(got []Hit, ex *Searcher, q Query, k int) error {
 // TestBlockMaxEquivalenceQuick is the central safe-pruning property of
 // the pruned evaluator, checked with testing/quick over random queries:
 // for both boolean modes, local or global statistics, k from 1 to 50, with
-// or without a random tombstone filter, over segments of several windows
-// in every encoding — packed and varint with block maxima (varint lists
-// hand the evaluator one-posting runs), raw without (plain MaxScore) —
+// or without a random tombstone filter, on a plain and a positional
+// segment with Block-Max and on the plain one with plain MaxScore,
 // pruned evaluation returns exhaustive evaluation's top-k: exactly for
 // AND, which never prunes, and up to the order of tied scores for OR.
 // The pinned seeds once swapped two tied docs under an exact comparison,
@@ -108,17 +107,17 @@ func sameUpToTies(got []Hit, ex *Searcher, q Query, k int) error {
 func TestBlockMaxEquivalenceQuick(t *testing.T) {
 	const numDocs = 2500
 	seg, vocab := blockMaxCorpus(t, numDocs)
-	varint, _ := blockMaxCorpus(t, numDocs, index.WithCompression(index.CompressionVarint))
-	raw, _ := blockMaxCorpus(t, numDocs, index.WithCompression(index.CompressionRaw))
-	if !seg.HasBlockMax() || !varint.HasBlockMax() || raw.HasBlockMax() {
-		t.Fatal("want block maxima on the packed and varint segments and none on the raw one")
-	}
-	segments := []*index.Segment{seg, varint, raw}
+	positional, _ := blockMaxCorpus(t, numDocs, index.WithPositions())
+	segments := []struct {
+		seg        *index.Segment
+		noBlockMax bool
+	}{{seg, false}, {positional, false}, {seg, true}}
 	stats := globalStatsFor(seg)
 
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := segments[rng.Intn(len(segments))]
+		c := segments[rng.Intn(len(segments))]
+		s := c.seg
 		nTerms := 1 + rng.Intn(4)
 		terms := make([]string, nTerms)
 		for i := range terms {
@@ -148,7 +147,7 @@ func TestBlockMaxEquivalenceQuick(t *testing.T) {
 		}
 		k := 1 + rng.Intn(50)
 		ex := NewSearcher(s, Options{TopK: k, UseMaxScore: false, Stats: st, Deleted: deleted})
-		bm := NewSearcher(s, Options{TopK: k, UseMaxScore: true, Stats: st, Deleted: deleted})
+		bm := NewSearcher(s, Options{TopK: k, UseMaxScore: true, DisableBlockMax: c.noBlockMax, Stats: st, Deleted: deleted})
 		q := ParseQuery(ex.Options().Analyzer, strings.Join(terms, " "), mode)
 		got := bm.Search(q).Hits
 		if mode == ModeAnd {
@@ -222,9 +221,6 @@ func TestSearchIntoAllocationFree(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop items")
 	}
 	seg, vocab := blockMaxCorpus(t, 2000)
-	if seg.Compression() != index.CompressionPacked || !seg.HasBlockMax() {
-		t.Fatal("corpus segment is not packed with block maxima")
-	}
 	a := textproc.NewAnalyzer()
 	and := ParseQuery(a, vocab.Word(5)+" "+vocab.Word(30), ModeAnd)
 	or := ParseQuery(a, vocab.Word(0)+" "+vocab.Word(3)+" "+vocab.Word(40), ModeOr)

@@ -12,12 +12,12 @@ import (
 )
 
 // TestPackedEquivalenceQuick is the packed-encoding acceptance property:
-// packed segments return the identical top-k (documents, order, scores)
-// to varint segments under AND and OR modes, with local or global
-// statistics, pruned or exhaustive — including a packed segment
-// assembled by merging packed, varint and raw inputs and one reloaded
-// through serialization. Pruned OR is compared up to the order of tied
-// scores, every other pairing exactly.
+// a segment built in one go, one merged from three inputs, one reloaded
+// through serialization and a positional one return the identical top-k
+// (documents, order, scores) to exhaustive evaluation of the in-memory
+// build under AND and OR modes, with local or global statistics, pruned
+// or exhaustive. Pruned OR is compared up to the order of tied scores,
+// every other pairing exactly.
 func TestPackedEquivalenceQuick(t *testing.T) {
 	cfg := corpus.DefaultConfig()
 	cfg.NumDocs = 900
@@ -38,28 +38,15 @@ func TestPackedEquivalenceQuick(t *testing.T) {
 		}
 		return b.Finalize()
 	}
-	varint := build(docs, index.WithCompression(index.CompressionVarint))
 	packed := build(docs)
-	if packed.Compression() != index.CompressionPacked {
-		t.Fatalf("default build is %v, want packed", packed.Compression())
-	}
-
-	// The same documents as one packed segment merged from inputs in all
-	// three encodings.
 	third := len(docs) / 3
 	merged, err := index.MergeSegments([]*index.Segment{
-		build(docs[:third]),
-		build(docs[third:2*third], index.WithCompression(index.CompressionVarint)),
-		build(docs[2*third:], index.WithCompression(index.CompressionRaw)),
+		build(docs[:third]), build(docs[third : 2*third]), build(docs[2*third:]),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Compression() != index.CompressionPacked {
-		t.Fatalf("mixed-encoding merge produced %v, want packed", merged.Compression())
-	}
-	// And a round trip of the packed segment: the serialized form must
-	// search identically to the in-memory build.
+	// The serialized form must search identically to the in-memory build.
 	var buf bytes.Buffer
 	if _, err := packed.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -69,8 +56,8 @@ func TestPackedEquivalenceQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	packedSegs := []*index.Segment{packed, merged, reloaded}
-	stats := globalStatsFor(varint)
+	packedSegs := []*index.Segment{merged, reloaded, build(docs, index.WithPositions())}
+	stats := globalStatsFor(packed)
 
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -94,10 +81,11 @@ func TestPackedEquivalenceQuick(t *testing.T) {
 		}
 		k := 1 + rng.Intn(15)
 		prune := rng.Intn(2) == 0
-		// The reference is always exhaustive varint; the packed side
-		// flips pruning so the property covers the batch-decode path
-		// under term-at-a-time, MaxScore, and Block-Max evaluation.
-		ref := NewSearcher(varint, Options{TopK: k, UseMaxScore: false, Stats: st})
+		// The reference is always exhaustive evaluation of the in-memory
+		// build; the other side flips pruning so the property covers the
+		// batch-decode path under term-at-a-time, MaxScore, and Block-Max
+		// evaluation.
+		ref := NewSearcher(packed, Options{TopK: k, UseMaxScore: false, Stats: st})
 		got := NewSearcher(ps, Options{TopK: k, UseMaxScore: prune, Stats: st})
 		q := ParseQuery(ref.Options().Analyzer, strings.Join(terms, " "), mode)
 		hits := got.Search(q).Hits
@@ -113,7 +101,7 @@ func TestPackedEquivalenceQuick(t *testing.T) {
 	// Pruned OR once swapped two tied docs here (doc 205 one ULP low).
 	t.Run("pinned--6523578025653113912", func(t *testing.T) {
 		if !property(-6523578025653113912) {
-			t.Fatal("top-k differs from the varint reference")
+			t.Fatal("top-k differs from the exhaustive reference")
 		}
 	})
 	if err := quick.Check(property, &quick.Config{MaxCount: 400}); err != nil {

@@ -106,6 +106,12 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 			idf: s.termIDF(term),
 		})
 	}
+	if lz != nil {
+		// Phrase members are walked posting by posting: like an
+		// exhaustive OR, read every list the query touches, positions
+		// streams included, in one round.
+		lz.Prefetch(true)
+	}
 	res.Phases.Lookup = time.Since(lookupStart)
 
 	scoreStart := time.Now()

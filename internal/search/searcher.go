@@ -243,16 +243,14 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 	release()
 }
 
-// useBlockMax reports whether Block-Max pruning is applicable: the
-// segment must carry block metadata (packed or varint compression),
-// iterators must have their skip tables (the shallow cursor
-// shares their block structure), and scoring must use the local
-// statistics the bounds were computed under.
+// useBlockMax reports whether Block-Max pruning is applicable: iterators
+// must have their skip tables (the shallow cursor shares their block
+// structure), and scoring must use the local statistics the bounds were
+// computed under.
 func (s *Searcher) useBlockMax() bool {
 	return !s.opts.DisableBlockMax &&
 		s.opts.Stats == nil &&
-		!s.opts.DisableSkips &&
-		s.seg.HasBlockMax()
+		!s.opts.DisableSkips
 }
 
 // postings returns the term's iterator, honoring the skip-list ablation

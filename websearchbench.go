@@ -14,6 +14,7 @@ package websearchbench
 
 import (
 	"fmt"
+	"slices"
 
 	"websearchbench/internal/corpus"
 	"websearchbench/internal/index"
@@ -201,12 +202,13 @@ func (e *Engine) seedLive(ccfg corpus.Config) error {
 }
 
 // Search evaluates a free-text query and returns the ranked results.
+// The slice is the caller's: editing it changes no later answer.
 func (e *Engine) Search(query string) []Result {
 	sr, gen := e.acquire()
 	defer sr.Release()
 	if e.cache != nil {
 		if cached, ok := e.cache.GetAt(gen, query); ok {
-			return cached
+			return slices.Clone(cached)
 		}
 	}
 	q := search.ParseQuery(e.analyzer, query, e.mode)
@@ -235,7 +237,7 @@ func (e *Engine) Search(query string) []Result {
 		})
 	}
 	if e.cache != nil && !sc.Incomplete {
-		e.cache.PutAt(gen, query, out)
+		e.cache.PutAt(gen, query, slices.Clone(out))
 	}
 	return out
 }

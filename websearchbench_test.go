@@ -88,6 +88,12 @@ func TestEngineCache(t *testing.T) {
 	if e.CacheHitRate() != 0.5 {
 		t.Errorf("hit rate = %v, want 0.5", e.CacheHitRate())
 	}
+	// Callers own what Search returns, on a miss and on a hit alike:
+	// editing it must not reach the cached entry.
+	first[0].URL, second[0].URL = "mutated", "mutated"
+	if third := e.Search(q); third[0].URL == "mutated" {
+		t.Error("a caller's edit of a returned result changed the cached answer")
+	}
 	if newTestEngine(t, Config{}).CacheHitRate() != 0 {
 		t.Error("uncached engine hit rate should be 0")
 	}
