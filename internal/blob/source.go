@@ -146,7 +146,7 @@ func (src *CachedSegmentSource) openSegment(ref SegmentRef) (*index.Segment, err
 	if err != nil {
 		return nil, err
 	}
-	return index.OpenLazySegment(meta, &segReader{src: src, key: ref.Key, postOff: layout.PostOff})
+	return index.OpenLazySegment(meta, layout, &segReader{src: src, key: ref.Key, postOff: layout.PostOff})
 }
 
 // maxInflightReads bounds the ranged reads one ReadRuns call keeps in

@@ -254,3 +254,40 @@ func TestSourceMissingBlobFails(t *testing.T) {
 		t.Fatal("LoadSnapshot succeeded with its segment blob deleted")
 	}
 }
+
+// TestSourceRejectsDictionaryOverrun: a segment blob whose dictionary
+// claims one posting byte more than its postings section holds is
+// refused when it is opened, before any ranged read is sent to an
+// offset the dictionary computed.
+func TestSourceRejectsDictionaryOverrun(t *testing.T) {
+	st := NewMemStore()
+	pub := &Publisher{Store: st, CreatedBy: "test"}
+	m, err := pub.Publish([]PubSegment{{ID: 1, Seg: testSegment("overrun", 10)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := m.Segments[0].Key
+	data, err := st.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout, err := index.ParseSegmentFooter(data[len(data)-index.SegmentFooterLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first dictionary entry: the term (one length byte, then its
+	// bytes), docFreq u32, collFreq u64, MaxScore f32, then the list
+	// length, a one-byte varint on a ten-document segment.
+	plen := layout.DictOff + 1 + int64(data[layout.DictOff]) + 4 + 8 + 4
+	if data[plen] >= 0x7f {
+		t.Fatalf("first list length byte %#x is not a small one-byte varint", data[plen])
+	}
+	data[plen]++
+	if err := st.Put(key, data); err != nil {
+		t.Fatal(err)
+	}
+	src := NewCachedSegmentSource(st, NewBlockCache(1<<20))
+	if _, _, err := src.LoadSnapshot(); err == nil {
+		t.Fatal("a dictionary claiming one byte past its postings section opened")
+	}
+}

@@ -15,21 +15,18 @@ import (
 // term-level block for short ones.
 func TestBlockMaxStructure(t *testing.T) {
 	s := buildLongList(t, 1000)
-	if len(s.blockMaxes) != s.NumTerms() {
-		t.Fatalf("%d block-max lists for %d terms", len(s.blockMaxes), s.NumTerms())
-	}
 	ti, _ := s.Term("common")
-	if got, want := len(s.blockMaxes[ti.ID]), numBlocksFor(ti.DocFreq); got != want {
+	if got, want := len(blockMaxesOf(s, ti.ID)), numBlocksFor(ti.DocFreq); got != want {
 		t.Fatalf("long list has %d blocks, want %d", got, want)
 	}
 	// At 300 docs, "sparse" (every third doc) stays under the skip
 	// threshold and gets a single term-level block.
 	short := buildLongList(t, 300)
 	sp, _ := short.Term("sparse")
-	if got := len(short.blockMaxes[sp.ID]); got != 1 {
+	if got := len(blockMaxesOf(short, sp.ID)); got != 1 {
 		t.Fatalf("short list has %d blocks, want 1", got)
 	}
-	if short.blockMaxes[sp.ID][0] != short.maxScores[sp.ID] {
+	if blockMaxesOf(short, sp.ID)[0] != sp.MaxScore {
 		t.Fatal("short list's single block bound is not the term MaxScore")
 	}
 }
@@ -51,7 +48,7 @@ func TestBlockMaxBoundsPostings(t *testing.T) {
 		pos := 0
 		for it.Next() {
 			sc := s.bm25.Score(idf, it.Freq(), s.DocLen(it.Doc()), avg)
-			blocks := s.blockMaxes[ti.ID]
+			blocks := blockMaxesOf(s, ti.ID)
 			bi := 0
 			if len(blocks) > 1 {
 				bi = pos / skipInterval

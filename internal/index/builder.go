@@ -10,14 +10,9 @@ import (
 // Builder accumulates documents and produces an immutable Segment.
 // It is not safe for concurrent use.
 type Builder struct {
-	positions bool
-	analyzer  *textproc.Analyzer
-	bm25      BM25Params
-
-	terms    map[string]*termAcc
-	docLens  []int32
-	docs     []StoredDoc
-	totalLen int64
+	segmentParts
+	analyzer *textproc.Analyzer
+	accs     map[string]*termAcc
 
 	scratch    map[string]int32   // per-document term frequencies, reused
 	scratchPos map[string][]int32 // per-document term positions, reused
@@ -52,11 +47,11 @@ func WithPositions() BuilderOption {
 // standard BM25 parameters.
 func NewBuilder(opts ...BuilderOption) *Builder {
 	b := &Builder{
-		analyzer:   textproc.NewAnalyzer(),
-		bm25:       DefaultBM25(),
-		terms:      make(map[string]*termAcc),
-		scratch:    make(map[string]int32),
-		scratchPos: make(map[string][]int32),
+		segmentParts: segmentParts{bm25: DefaultBM25()},
+		analyzer:     textproc.NewAnalyzer(),
+		accs:         make(map[string]*termAcc),
+		scratch:      make(map[string]int32),
+		scratchPos:   make(map[string][]int32),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -97,10 +92,10 @@ func (b *Builder) AddDocument(title, body, url string, quality float64) int32 {
 	sort.Strings(terms)
 	b.termsBuf = terms
 	for _, t := range terms {
-		acc, ok := b.terms[t]
+		acc, ok := b.accs[t]
 		if !ok {
 			acc = &termAcc{}
-			b.terms[t] = acc
+			b.accs[t] = acc
 		}
 		f := b.scratch[t]
 		if b.positions {
@@ -116,13 +111,7 @@ func (b *Builder) AddDocument(title, body, url string, quality float64) int32 {
 		snippet = snippet[:snippetLen]
 	}
 	b.docLens = append(b.docLens, docLen)
-	b.totalLen += int64(docLen)
-	b.docs = append(b.docs, StoredDoc{
-		URL:     url,
-		Title:   title,
-		Quality: float32(quality),
-		Snippet: snippet,
-	})
+	b.stored.storedDoc(StoredDoc{URL: url, Title: title, Quality: float32(quality), Snippet: snippet})
 	return docID
 }
 
@@ -148,18 +137,17 @@ func (b *Builder) AddPreanalyzed(stored StoredDoc, terms []string, freqs []int32
 	var docLen int32
 	for i, t := range terms {
 		f := freqs[i]
-		acc, ok := b.terms[t]
+		acc, ok := b.accs[t]
 		if !ok {
 			acc = &termAcc{}
-			b.terms[t] = acc
+			b.accs[t] = acc
 		}
 		acc.enc.add(docID, f)
 		acc.collFreq += int64(f)
 		docLen += f
 	}
 	b.docLens = append(b.docLens, docLen)
-	b.totalLen += int64(docLen)
-	b.docs = append(b.docs, stored)
+	b.stored.storedDoc(stored)
 	return docID
 }
 
@@ -167,66 +155,31 @@ func (b *Builder) AddPreanalyzed(stored StoredDoc, terms []string, freqs []int32
 func (b *Builder) NumDocs() int { return len(b.docLens) }
 
 // Finalize freezes the builder into an immutable Segment. The builder must
-// not be used afterwards.
+// not be used afterwards. It panics when the documents exceed what a
+// segment file can address (2^28 documents or terms, 4 GiB sections).
 func (b *Builder) Finalize() *Segment {
-	termList := make([]string, 0, len(b.terms))
-	for t := range b.terms {
-		termList = append(termList, t)
+	s, err := openFile(b.finish().write())
+	if err != nil {
+		panic(err)
 	}
-	sort.Strings(termList)
-
-	s := &Segment{
-		positions: b.positions,
-		bm25:      b.bm25,
-		terms:     make(map[string]int32, len(termList)),
-		termList:  termList,
-		postings:  make([][]byte, len(termList)),
-		docFreqs:  make([]int32, len(termList)),
-		collFreqs: make([]int64, len(termList)),
-		maxScores: make([]float32, len(termList)),
-		docLens:   b.docLens,
-		totalLen:  b.totalLen,
-		docs:      b.docs,
-	}
-	for id, t := range termList {
-		acc := b.terms[t]
-		acc.enc.finish()
-		s.terms[t] = int32(id)
-		s.postings[id] = acc.enc.buf
-		if b.positions {
-			s.posStreams = append(s.posStreams, acc.enc.pos)
-		}
-		s.docFreqs[id] = acc.enc.count
-		s.collFreqs[id] = acc.collFreq
-	}
-	s.buildLengthNorms()
-	s.computeMaxScores()
-	s.buildSkips()
-	s.computeBlockMaxes()
-	b.terms = nil
-	b.docLens = nil
-	b.docs = nil
+	b.segmentParts, b.accs = segmentParts{}, nil
 	return s
 }
 
-// computeMaxScores walks every posting list once and records the exact
-// maximum BM25 contribution of each term, the bound MaxScore pruning
-// uses (quantized upward so the float32 never dips below the true max).
-// Must run after buildLengthNorms.
-func (s *Segment) computeMaxScores() {
-	n := int64(len(s.docLens))
-	for id := range s.termList {
-		idf := IDF(n, int64(s.docFreqs[id]))
-		it := newPostingsIterator(s.postings[id], s.docFreqs[id])
-		var max float64
-		for it.Next() {
-			sc := s.bm25.ScoreNorm(idf, it.Freq(), s.lengthNorms[it.Doc()])
-			if sc > max {
-				max = sc
-			}
-		}
-		s.maxScores[id] = quantizeUp(max)
+// finish sorts the dictionary and finishes every term's lists.
+func (b *Builder) finish() *segmentParts {
+	terms := make([]string, 0, len(b.accs))
+	for t := range b.accs {
+		terms = append(terms, t)
 	}
+	sort.Strings(terms)
+	b.lists = make([]termList, len(terms))
+	for id, t := range terms {
+		acc := b.accs[t]
+		b.lists[id] = acc.enc.finish()
+		b.lists[id].term, b.lists[id].collFreq = t, acc.collFreq
+	}
+	return &b.segmentParts
 }
 
 // BuildFromCorpus is a convenience that generates the configured corpus and

@@ -14,6 +14,12 @@ import (
 // Stemming is disabled so terms are predictable.
 func buildTiny(t testing.TB, opts ...BuilderOption) *Segment {
 	t.Helper()
+	return tinyBuilder(t, opts...).Finalize()
+}
+
+// tinyBuilder is buildTiny's builder, before Finalize.
+func tinyBuilder(t testing.TB, opts ...BuilderOption) *Builder {
+	t.Helper()
 	opts = append([]BuilderOption{
 		WithAnalyzer(&textproc.Analyzer{DisableStemming: true}),
 	}, opts...)
@@ -30,7 +36,7 @@ func buildTiny(t testing.TB, opts ...BuilderOption) *Segment {
 			t.Fatalf("AddDocument returned id %d, want %d", id, i)
 		}
 	}
-	return b.Finalize()
+	return b
 }
 
 func TestBuilderBasics(t *testing.T) {

@@ -3,6 +3,8 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"reflect"
 	"testing"
 )
@@ -107,58 +109,108 @@ func fuzzSegmentBytes(opts ...BuilderOption) []byte {
 	return buf.Bytes()
 }
 
-// FuzzReadSegment hammers the deserializer with mutated segment files:
-// every input must either be rejected with an error or load into a
-// segment whose posting lists iterate cleanly — never panic, never hand
-// back out-of-range docIDs for scoring to crash on. The fuzz input picks
-// byte mutations (offset, value) to apply to a valid serialized segment,
-// plus a truncation point.
-func FuzzReadSegment(f *testing.F) {
-	bases := [][]byte{
-		fuzzSegmentBytes(),
-		fuzzSegmentBytes(WithPositions()),
+// hugeListFile is a one-term segment whose dictionary claims a 2^28-byte
+// posting list: the file is a few hundred bytes, so a reader that sizes
+// a buffer by the claim before reading allocates 268 MB for nothing.
+func hugeListFile() []byte {
+	b := NewBuilder()
+	b.AddPreanalyzed(StoredDoc{URL: "u"}, []string{"t"}, []int32{1})
+	var buf bytes.Buffer
+	if _, err := b.Finalize().WriteTo(&buf); err != nil {
+		panic(err)
 	}
-	f.Add(0, uint16(0), byte(0), uint16(0), byte(0), 1000)
-	f.Add(1, uint16(8), byte(0xff), uint16(9), byte(0x7f), 1000)
-	f.Add(2, uint16(40), byte(1), uint16(41), byte(2), 50)
-	f.Fuzz(func(t *testing.T, which int, off1 uint16, v1 byte, off2 uint16, v2 byte, cut int) {
-		base := bases[((which%len(bases))+len(bases))%len(bases)]
-		data := append([]byte(nil), base...)
-		if int(off1) < len(data) {
-			data[off1] = v1
-		}
-		if int(off2) < len(data) {
-			data[off2] = v2
-		}
-		if cut >= 0 && cut < len(data) {
-			data = data[:cut]
-		}
+	data := buf.Bytes()
+	l, err := ParseSegmentFooter(data[len(data)-SegmentFooterLen:])
+	if err != nil {
+		panic(err)
+	}
+	// The entry: term "t" (2 bytes), docFreq, collFreq, MaxScore, then
+	// the list length, a one-byte varint.
+	at := l.DictOff + 2 + 4 + 8 + 4
+	out := append(append(append([]byte(nil), data[:at]...), binary.AppendUvarint(nil, 1<<28)...), data[at+1:]...)
+	tail := out[len(out)-SegmentFooterLen:]
+	binary.LittleEndian.PutUint64(tail[16:], uint64(l.PostOff+4))
+	binary.LittleEndian.PutUint64(tail[24:], uint64(l.FileSize+4))
+	return out
+}
+
+// overflowGapFile is a segment whose first packed block's firstGap is
+// eleven 0xff bytes, a varint that overflows: a decoder that took the
+// negative length binary.Uvarint reports as a width stepped backwards
+// out of the block.
+func overflowGapFile() []byte {
+	b := NewBuilder()
+	for d := 0; d < 100; d++ {
+		b.AddPreanalyzed(StoredDoc{URL: "u"}, []string{"t"}, []int32{1})
+	}
+	var buf bytes.Buffer
+	if _, err := b.Finalize().WriteTo(&buf); err != nil {
+		panic(err)
+	}
+	data := buf.Bytes()
+	l, err := ParseSegmentFooter(data[len(data)-SegmentFooterLen:])
+	if err != nil {
+		panic(err)
+	}
+	copy(data[l.PostOff+2:], bytes.Repeat([]byte{0xff}, 11)) // after docBits, freqBits
+	return data
+}
+
+// openLazy opens data as a blob-served segment would be: footer, then
+// the prefix it names, with the postings section behind a memReader.
+func openLazy(data []byte) (*Segment, *memReader, error) {
+	if len(data) < SegmentFooterLen {
+		return nil, nil, io.ErrUnexpectedEOF
+	}
+	l, err := ParseSegmentFooter(data[len(data)-SegmentFooterLen:])
+	if err != nil {
+		return nil, nil, err
+	}
+	if l.FileSize != int64(len(data)) {
+		return nil, nil, fmt.Errorf("footer says %d bytes, file is %d", l.FileSize, len(data))
+	}
+	rd := &memReader{post: data[l.PostOff : l.FileSize-SegmentFooterLen], cache: map[[2]int32][]byte{}}
+	s, err := OpenLazySegment(data[:l.PostOff], l, rd)
+	return s, rd, err
+}
+
+// mutate returns a copy of base with two bytes set and cut to cut bytes.
+func mutate(base []byte, off1 int, v1 byte, off2 int, v2 byte, cut int) []byte {
+	data := append([]byte(nil), base...)
+	data[off1], data[off2] = v1, v2
+	return data[:min(cut, len(data))]
+}
+
+// FuzzReadSegment opens every input both resident (ReadSegment) and
+// lazy (OpenLazySegment over its footer's prefix, then the same
+// validation of every list, read through a BlockReader): both must
+// accept it or both reject it — never panic — and an accepted file must
+// give the same postings, positions, block maxima and stored fields
+// either way.
+func FuzzReadSegment(f *testing.F) {
+	plain, positional := fuzzSegmentBytes(), fuzzSegmentBytes(WithPositions())
+	f.Add(plain)
+	f.Add(positional)
+	f.Add(hugeListFile())
+	f.Add(overflowGapFile())
+	f.Add(mutate(plain, 0, 0, 0, 0, 1000))
+	f.Add(mutate(positional, 8, 0xff, 9, 0x7f, 1000))
+	f.Add(mutate(plain, 40, 1, 41, 2, 50))
+	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSegment(bytes.NewReader(data))
+		lazy, _, lerr := openLazy(data)
+		if lerr == nil {
+			lerr = lazy.validate()
+		}
+		if (err == nil) != (lerr == nil) {
+			t.Fatalf("resident open: %v; lazy open: %v", err, lerr)
+		}
 		if err != nil {
 			return
 		}
-		// Load accepted the bytes: everything reachable from the segment
-		// must be safe to touch.
-		n := int32(s.NumDocs())
-		for i := int32(0); i < n; i++ {
-			_ = s.Doc(i)
-			_ = s.DocLen(i)
-		}
-		for id, term := range s.termList {
-			it := s.PostingsByID(int32(id))
-			for it.Next() {
-				if d := it.Doc(); d < 0 || d >= n {
-					t.Fatalf("term %q iterated docID %d outside [0,%d)", term, d, n)
-				}
-			}
-			pit, _ := s.PositionsOf(term)
-			for pit.Next() {
-				for _, pos := range pit.Positions() {
-					if pos < 0 || pos >= s.DocLen(pit.Doc()) {
-						t.Fatalf("term %q doc %d: position %d outside the document", term, pit.Doc(), pos)
-					}
-				}
-			}
+		segmentsEquivalent(t, s, lazy)
+		if !reflect.DeepEqual(s.blockMaxes, lazy.blockMaxes) {
+			t.Fatal("block maxima differ between resident and lazy opens")
 		}
 	})
 }
@@ -204,6 +256,18 @@ func FuzzPackedPostings(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRoundTrip(t, data)
 	})
+}
+
+// skipTable walks a posting list and checkpoints every
+// skipInterval-th posting, as the encoder does while it flushes blocks.
+func skipTable(it PostingsIterator) []skipEntry {
+	var table []skipEntry
+	for i := int32(1); it.Next(); i++ {
+		if i%skipInterval == 0 {
+			table = append(table, skipEntry{doc: it.Doc(), pos: int32(it.pos)})
+		}
+	}
+	return table
 }
 
 // FuzzSkipTo replays an op stream against a packed list built from a gap

@@ -14,8 +14,8 @@ import (
 
 // The evaluation strategies copy iterators by value on the resident hot
 // path, so the lazy read path keeps its state (held blocks, read-ahead
-// window) behind the fetch hook and never in the iterator, whose size is
-// pinned here.
+// window) in the list the iterator points to and never in the iterator,
+// whose size is pinned here.
 var _ [640]byte = [unsafe.Sizeof(PostingsIterator{})]byte{}
 
 // randomListsSegment builds a segment whose lists have the given
@@ -57,15 +57,9 @@ func randomListsSegment(rng *rand.Rand, n int, dfs []int, opts ...BuilderOption)
 // ranges the per-block reader this path replaced used to read one by
 // one.
 func blockRanges(s *Segment, post []byte, id int32) [][]byte {
-	var start int64
-	for t := int32(0); t < id; t++ {
-		start += int64(len(s.postings[t]))
-		if s.positions {
-			start += int64(len(s.posStreams[t]))
-		}
-	}
-	plen := int64(len(s.postings[id]))
-	table := s.skips[id]
+	start := int64(s.terms[id].post)
+	plen := int64(s.entry(id).plen)
+	table := skipTableOf(s, id)
 	var out [][]byte
 	lo := int64(0)
 	for b := 0; b <= len(table); b++ {
@@ -103,7 +97,7 @@ func TestLazyRunsDeliverBlockBytes(t *testing.T) {
 		for round := 0; round < 40; round++ {
 			lazy, rd := lazyFromBytes(t, buf.Bytes())
 			want := make(map[int32][][]byte)
-			for id := range s.termList {
+			for id := range s.terms {
 				want[int32(id)] = blockRanges(s, rd.post, int32(id))
 				for b, blk := range want[int32(id)] {
 					if rng.Intn(3) == 0 { // a partially resident list
@@ -128,7 +122,7 @@ func TestLazyRunsDeliverBlockBytes(t *testing.T) {
 					off += int64(sz)
 				}
 			}
-			for id := range s.termList {
+			for id := range s.terms {
 				id := int32(id)
 				q := lazy.NewLazyQuery()
 				it := q.Postings(id, true)

@@ -1,8 +1,8 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
 )
 
 // MergeSegments combines segments into one, concatenating their document
@@ -55,10 +55,7 @@ func MergeSegmentsFiltered(segs []*Segment, drop []func(int32) bool) (*Segment, 
 		return drop != nil && drop[si] != nil && drop[si](doc)
 	}
 
-	out := &Segment{
-		positions: first.positions,
-		bm25:      first.bm25,
-	}
+	out := segmentParts{positions: first.positions, bm25: first.bm25}
 
 	// Renumber surviving documents densely, concatenating document spaces
 	// in segment order.
@@ -74,91 +71,63 @@ func MergeSegmentsFiltered(segs []*Segment, drop []func(int32) bool) (*Segment, 
 			remap[si][d] = next
 			next++
 			out.docLens = append(out.docLens, s.docLens[d])
-			out.docs = append(out.docs, s.docs[d])
-			out.totalLen += int64(s.docLens[d])
+			out.stored.storedDoc(s.Doc(d))
 		}
 	}
 
-	// Union of terms, sorted for a deterministic dictionary.
-	termSet := make(map[string]struct{})
-	for _, s := range segs {
-		for _, t := range s.termList {
-			termSet[t] = struct{}{}
+	// Walk the inputs' sorted dictionaries together: each step takes the
+	// least term under any cursor and merges its lists from every input
+	// holding it, skipping dropped documents. A term whose postings all
+	// belonged to dropped documents vanishes from the merged dictionary.
+	cur := make([]int32, len(segs))
+	for {
+		var least []byte
+		for si, s := range segs {
+			if int(cur[si]) < s.NumTerms() {
+				if t := s.termAt(cur[si]); least == nil || bytes.Compare(t, least) < 0 {
+					least = t
+				}
+			}
 		}
-	}
-	termList := make([]string, 0, len(termSet))
-	for t := range termSet {
-		termList = append(termList, t)
-	}
-	sort.Strings(termList)
-
-	// Merge posting lists per term, skipping dropped documents. A term
-	// whose postings all belonged to dropped documents vanishes from the
-	// merged dictionary.
-	type mergedTerm struct {
-		term     string
-		buf, pos []byte
-		docFreq  int32
-		collFreq int64
-	}
-	kept := make([]mergedTerm, 0, len(termList))
-	for _, term := range termList {
+		if least == nil {
+			break
+		}
 		var enc postingsEncoder
 		var coll int64
 		for si, s := range segs {
-			ti, ok := s.Term(term)
-			if !ok {
+			id := cur[si]
+			if int(id) >= s.NumTerms() || !bytes.Equal(s.termAt(id), least) {
 				continue
 			}
-			if out.positions {
-				it, _ := s.PositionsOf(term)
-				for it.Next() {
-					if nd := remap[si][it.Doc()]; nd >= 0 {
-						// Positions() reuses a scratch slice but
-						// addWithPositions consumes it immediately.
+			cur[si]++
+			// A positional walk decodes the positions stream beside the
+			// postings; Positions() reuses a scratch slice, which
+			// addWithPositions consumes at once.
+			it := s.positionsByID(id)
+			for (out.positions && it.Next()) || (!out.positions && it.it.Next()) {
+				if nd := remap[si][it.Doc()]; nd >= 0 {
+					if out.positions {
 						enc.addWithPositions(nd, it.Positions())
-						coll += int64(it.Freq())
-					}
-				}
-			} else {
-				it := s.PostingsByID(ti.ID)
-				for it.Next() {
-					if nd := remap[si][it.Doc()]; nd >= 0 {
+					} else {
 						enc.add(nd, it.Freq())
-						coll += int64(it.Freq())
 					}
+					coll += int64(it.Freq())
 				}
 			}
 		}
-		enc.finish()
-		if enc.count == 0 {
-			continue
+		if l := enc.finish(); l.df > 0 {
+			l.term, l.collFreq = string(least), coll
+			out.lists = append(out.lists, l)
 		}
-		kept = append(kept, mergedTerm{term: term, buf: enc.buf, pos: enc.pos, docFreq: enc.count, collFreq: coll})
 	}
-
-	out.terms = make(map[string]int32, len(kept))
-	out.termList = make([]string, len(kept))
-	out.postings = make([][]byte, len(kept))
-	out.docFreqs = make([]int32, len(kept))
-	out.collFreqs = make([]int64, len(kept))
-	out.maxScores = make([]float32, len(kept))
-	for id, mt := range kept {
-		out.terms[mt.term] = int32(id)
-		out.termList[id] = mt.term
-		out.postings[id] = mt.buf
-		if out.positions {
-			out.posStreams = append(out.posStreams, mt.pos)
-		}
-		out.docFreqs[id] = mt.docFreq
-		out.collFreqs[id] = mt.collFreq
+	// Bounds and block maxima are computed from the merged postings when
+	// they are written, not stitched from the inputs: merged blocks
+	// straddle input-segment boundaries.
+	// An error means the merged documents exceed what the format
+	// addresses (2^28 documents or terms, 4 GiB sections).
+	merged, err := openFile(out.write())
+	if err != nil {
+		return nil, nil, err
 	}
-	out.buildLengthNorms()
-	out.computeMaxScores()
-	out.buildSkips()
-	// Block maxima are recomputed from the merged postings rather than
-	// stitched from the inputs: merged blocks straddle input-segment
-	// boundaries.
-	out.computeBlockMaxes()
-	return out, remap, nil
+	return merged, remap, nil
 }

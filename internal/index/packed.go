@@ -1,6 +1,9 @@
 package index
 
-import "math/bits"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Posting lists: postings are grouped into blocks of packedBlockLen
 // entries, aligned with the skip/block-max interval, and each full block
@@ -127,8 +130,8 @@ func (e *postingsEncoder) flushPackedBlock() {
 	freqBits := packedWidth(maxF - minF)
 
 	e.buf = append(e.buf, docBits, freqBits)
-	e.buf = appendUvarint(e.buf, uint64(docs[0]-e.lastDoc))
-	e.buf = appendUvarint(e.buf, uint64(minF))
+	e.buf = binary.AppendUvarint(e.buf, uint64(docs[0]-e.lastDoc))
+	e.buf = binary.AppendUvarint(e.buf, uint64(minF))
 	e.buf = appendPacked(e.buf, gaps[:], docBits)
 	var offs [packedBlockLen]int32
 	for i, f := range freqs {
@@ -140,15 +143,20 @@ func (e *postingsEncoder) flushPackedBlock() {
 	e.pend = 0
 }
 
-// finish writes the final partial block as a varint tail. Must be
-// called once, after the last add.
-func (e *postingsEncoder) finish() {
+// finish writes the final partial block as a varint tail and returns
+// the list as the writer takes it, less its term and collection
+// frequency. Must be called once, after the last add.
+func (e *postingsEncoder) finish() termList {
 	for i := int32(0); i < e.pend; i++ {
-		e.buf = appendUvarint(e.buf, uint64(e.pendDocs[i]-e.lastDoc))
-		e.buf = appendUvarint(e.buf, uint64(e.pendFreqs[i]))
+		e.buf = binary.AppendUvarint(e.buf, uint64(e.pendDocs[i]-e.lastDoc))
+		e.buf = binary.AppendUvarint(e.buf, uint64(e.pendFreqs[i]))
 		e.lastDoc = e.pendDocs[i]
 	}
 	e.pend = 0
+	if e.count < skipMinDocFreq {
+		e.skips = nil
+	}
+	return termList{buf: e.buf, pos: e.pos, skips: e.skips, df: e.count}
 }
 
 // decodeBlock decodes the next block — a full bit-packed block or the
@@ -181,13 +189,13 @@ func (it *PostingsIterator) decodeFullBlock(prev int32) bool {
 	}
 	docBits, freqBits := buf[pos], buf[pos+1]
 	pos += 2
-	firstGap, n := uvarint(buf[pos:])
-	if n == 0 || firstGap > uint64(exhaustedDoc) {
+	firstGap, n := binary.Uvarint(buf[pos:])
+	if n <= 0 || firstGap > uint64(exhaustedDoc) {
 		return false
 	}
 	pos += n
-	freqRef, n := uvarint(buf[pos:])
-	if n == 0 || freqRef > uint64(exhaustedDoc) {
+	freqRef, n := binary.Uvarint(buf[pos:])
+	if n <= 0 || freqRef > uint64(exhaustedDoc) {
 		return false
 	}
 	pos += n
@@ -227,13 +235,13 @@ func (it *PostingsIterator) decodePackedTail(prev int32, remaining int) bool {
 	pos := it.pos - base
 	d := prev
 	for i := 0; i < remaining; i++ {
-		gap, n := uvarint(buf[pos:])
-		if n == 0 {
+		gap, n := binary.Uvarint(buf[pos:])
+		if n <= 0 {
 			return false
 		}
 		pos += n
-		f, n := uvarint(buf[pos:])
-		if n == 0 {
+		f, n := binary.Uvarint(buf[pos:])
+		if n <= 0 {
 			return false
 		}
 		pos += n

@@ -1,5 +1,7 @@
 package index
 
+import "encoding/binary"
+
 // Positional postings: when a segment is built WithPositions, each term's
 // doc/freq list is encoded exactly as a non-positional one, and a
 // positions stream follows it: for each posting in order, freq uvarints,
@@ -14,7 +16,7 @@ func (e *postingsEncoder) addWithPositions(docID int32, positions []int32) {
 	e.add(docID, int32(len(positions)))
 	last := int32(0)
 	for _, p := range positions {
-		e.pos = appendUvarint(e.pos, uint64(p-last))
+		e.pos = binary.AppendUvarint(e.pos, uint64(p-last))
 		last = p
 	}
 }
@@ -45,7 +47,7 @@ func (p *PositionsIterator) Next() bool {
 	}
 	p.cur = p.end
 	for i := int32(0); i < p.it.freq; i++ {
-		_, n := uvarint(p.stream[p.end:])
+		_, n := binary.Uvarint(p.stream[p.end:])
 		if n <= 0 {
 			p.it.count = 0
 			p.it.doc = exhaustedDoc
@@ -81,7 +83,7 @@ func (p *PositionsIterator) Positions() []int32 {
 	p.scratch = p.scratch[:0]
 	last := int32(0)
 	for i := p.cur; i < p.end; {
-		d, n := uvarint(p.stream[i:])
+		d, n := binary.Uvarint(p.stream[i:])
 		i += n
 		last += int32(d)
 		p.scratch = append(p.scratch, last)
@@ -95,12 +97,24 @@ func (s *Segment) HasPositions() bool { return s.positions }
 // PositionsOf returns a positional iterator for term. ok is false when
 // the term is absent or the segment has no positions.
 func (s *Segment) PositionsOf(term string) (PositionsIterator, bool) {
-	id, ok := s.terms[term]
+	id, ok := s.lookup(term)
 	if !ok || !s.positions {
 		return PositionsIterator{it: PostingsIterator{doc: exhaustedDoc}}, false
 	}
-	if s.lazy != nil {
-		return s.NewLazyQuery().Positions(id), true
+	return s.positionsByID(id), true
+}
+
+// positionsByID returns a positional iterator over term id's list. On a
+// segment without positions it walks the postings only: advance its
+// embedded iterator, not the PositionsIterator.
+func (s *Segment) positionsByID(id int32) PositionsIterator {
+	switch {
+	case !s.positions:
+		return PositionsIterator{it: s.postingsByID(id, false)}
+	case s.src != nil:
+		return s.NewLazyQuery().Positions(id)
 	}
-	return PositionsIterator{it: newPostingsIterator(s.postings[id], s.docFreqs[id]), stream: s.posStreams[id]}, true
+	e := s.entry(id)
+	list, stream := s.lists(id, e)
+	return PositionsIterator{it: newPostingsIterator(list, e.DocFreq), stream: stream}
 }

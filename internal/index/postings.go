@@ -8,6 +8,9 @@ type postingsEncoder struct {
 	pos     []byte // positions stream; positional lists only
 	lastDoc int32
 	count   int32
+	// skips checkpoints every flushed block; finish drops the table of a
+	// list too short to carry one.
+	skips []skipEntry
 	// Postings are buffered a block at a time and flushed bit-packed;
 	// finish() writes the final partial block as a varint tail.
 	pend      int32
@@ -21,10 +24,11 @@ func (e *postingsEncoder) add(docID int32, freq int32) {
 	e.pendDocs[e.pend] = docID
 	e.pendFreqs[e.pend] = freq
 	e.pend++
+	e.count++
 	if e.pend == packedBlockLen {
 		e.flushPackedBlock()
+		e.skips = append(e.skips, skipEntry{doc: docID, pos: int32(len(e.buf))})
 	}
-	e.count++
 }
 
 // PostingsIterator walks one term's posting list in increasing docID order.
@@ -41,12 +45,12 @@ type PostingsIterator struct {
 
 	// The list's bytes are read through a sliding window: win holds the
 	// bytes of one block, winBase is win[0]'s offset within the posting
-	// list, and fetch pulls the block containing a byte offset on demand
-	// (lazy, blob-served lists). Fully resident iterators set win to the
-	// whole list, winBase = 0 and fetch = nil.
+	// list, and lazy pulls the block containing a byte offset on demand
+	// (blob-served lists). Fully resident iterators set win to the
+	// whole list, winBase = 0 and lazy = nil.
 	win     []byte
 	winBase int
-	fetch   func(pos int) ([]byte, int)
+	lazy    *lazyList
 
 	// The current block decoded into inline scratch arrays. Inline (not
 	// pointers) so iterators stay allocation-free; bIdx/bLen delimit the
@@ -65,15 +69,15 @@ func newPostingsIterator(buf []byte, count int32) PostingsIterator {
 
 // window returns the byte window containing it.pos and the window's
 // offset within the posting list. Fully resident iterators return
-// (buf, 0); lazy iterators pull the enclosing block through fetch when
+// (buf, 0); lazy iterators pull the enclosing block through their list when
 // the cursor has left the current window. A failed fetch yields an
 // empty window based at it.pos, which every decode path treats as a
 // truncated (exhausted) list rather than a crash.
 func (it *PostingsIterator) window() ([]byte, int) {
-	if it.fetch == nil || (it.pos >= it.winBase && it.pos < it.winBase+len(it.win)) {
+	if it.lazy == nil || (it.pos >= it.winBase && it.pos < it.winBase+len(it.win)) {
 		return it.win, it.winBase
 	}
-	it.win, it.winBase = it.fetch(it.pos)
+	it.win, it.winBase = it.lazy.window(it.pos)
 	if it.pos < it.winBase || it.pos > it.winBase+len(it.win) {
 		// A window that does not cover the cursor would make the relative
 		// position negative or past the end; normalize to empty-at-cursor.

@@ -1,4 +1,16 @@
+// Package index implements the engine's inverted index: a term
+// dictionary, bit-packed block posting lists with optional positions
+// streams, per-document metadata (lengths, stored fields), an in-memory
+// builder, and an immutable segment that is its file's bytes. Its
+// anatomy mirrors the Lucene index the characterized benchmark serves,
+// so dictionary-lookup and postings-traversal costs are alike.
 package index
+
+import (
+	"encoding/binary"
+	"hash/maphash"
+	"math"
+)
 
 // StoredDoc is the per-document payload kept in the doc store: what the
 // front-end needs to render a result without touching the original corpus.
@@ -18,48 +30,126 @@ type TermInfo struct {
 	MaxScore float32 // exact max BM25 contribution over the posting list
 }
 
-// Segment is an immutable searchable index over a set of documents.
-// Segments are safe for concurrent readers.
+// Segment is an immutable searchable index over a set of documents: the
+// bytes of its v05 file (v05.go) and a small directory decoded from them
+// when it was opened. A resident segment holds the whole file and its
+// iterators read their lists where they lie in it; a lazy one
+// (OpenLazySegment) holds the file's [0, PostOff) prefix and reads
+// posting blocks through a BlockReader. Segments are safe for concurrent
+// readers.
 type Segment struct {
+	// data is the segment's image: the whole file, or the prefix of a
+	// lazy segment.
+	data   []byte
+	layout SegmentLayout
+	// src reads the posting blocks of a lazy segment; nil when resident.
+	src       BlockReader
 	positions bool
 	bm25      BM25Params
-	terms     map[string]int32
-	termList  []string // termID -> term, lexicographically sorted
-	postings  [][]byte
-	docFreqs  []int32
-	collFreqs []int64
-	maxScores []float32
-	docLens   []int32
 	totalLen  int64
-	docs      []StoredDoc
-	skips     [][]skipEntry // per-term skip tables
-	// blockMaxes[id][j] is the maximum BM25 contribution within block j
-	// of term id's posting list (blocks of skipInterval postings, aligned
-	// with the skip table).
-	blockMaxes [][]float32
-	// posStreams[id] is term id's positions stream on a positional
-	// segment (positions.go), else nil.
-	posStreams [][]byte
+	docLens   []int32
 	// lengthNorms[d] is BM25 LengthNorm of doc d under the segment's own
-	// average length: built with the segment, so searchers over it share
-	// one table.
+	// average length, so searchers over it share one table.
 	lengthNorms []float64
-	// lazy is non-nil on segments opened via OpenLazySegment: postings is
-	// empty and posting bytes are read through lazy.src.
-	lazy *lazyPostings
+	// stored[d] is the offset in data of doc d's stored fields.
+	stored []uint32
+	// terms is the dictionary in term (= ID) order.
+	terms []termEntry
+	// slots is Term's hash index of the dictionary (indexTerms).
+	slots []uint32
+	// skips holds every term's skip table and blockMaxes every term's
+	// block maxima, term after term.
+	skips      []skipEntry
+	blockMaxes []float32
+}
+
+// termEntry places one term in the image. Its skip table has
+// numBlocksFor(df)-1 entries from skips[skip], its block maxima
+// numBlocksFor(df) from blockMaxes[skip+ID]: every term has one more
+// block than checkpoints.
+type termEntry struct {
+	dict uint32 // offset in data of the dictionary entry
+	post uint32 // offset of the list within the postings section
+	skip uint32
+}
+
+// entry is a decoded dictionary entry.
+type entry struct {
+	TermInfo
+	term         []byte // aliases the image
+	plen, posLen int    // posting list and positions stream byte lengths
+}
+
+// entry decodes term id's dictionary entry, checked when the segment
+// was opened.
+func (s *Segment) entry(id int32) entry {
+	b := s.data[s.terms[id].dict:]
+	n, k := binary.Uvarint(b)
+	b = b[k:]
+	e := entry{term: b[:n:n], TermInfo: TermInfo{ID: id,
+		DocFreq:  int32(binary.LittleEndian.Uint32(b[n:])),
+		CollFreq: int64(binary.LittleEndian.Uint64(b[n+4:])),
+		MaxScore: math.Float32frombits(binary.LittleEndian.Uint32(b[n+12:]))}}
+	plen, k := binary.Uvarint(b[n+16:])
+	e.plen = int(plen)
+	if s.positions {
+		posLen, _ := binary.Uvarint(b[n+16+uint64(k):])
+		e.posLen = int(posLen)
+	}
+	return e
+}
+
+// termAt returns term id's bytes, aliasing the image.
+func (s *Segment) termAt(id int32) []byte {
+	b := s.data[s.terms[id].dict:]
+	n, k := binary.Uvarint(b)
+	return b[k : k+int(n)]
+}
+
+// termSeed keys the dictionary's in-memory hash index.
+var termSeed = maphash.MakeSeed()
+
+// indexTerms builds Term's hash index: open addressing with linear
+// probing at a load of 0.8, each slot a term's ID+1, 0 when empty.
+func (s *Segment) indexTerms() {
+	s.slots = make([]uint32, len(s.terms)+len(s.terms)/4+1)
+	for id := range s.terms {
+		i := s.slot(maphash.Bytes(termSeed, s.termAt(int32(id))))
+		for s.slots[i] != 0 {
+			i = (i + 1) % len(s.slots)
+		}
+		s.slots[i] = uint32(id + 1)
+	}
+}
+
+// slot returns the first slot of hash h.
+func (s *Segment) slot(h uint64) int { return int((h >> 32) * uint64(len(s.slots)) >> 32) }
+
+// skipsOf returns term id's skip table and block maxima.
+func (s *Segment) skipsOf(id int32, df int32) ([]skipEntry, []float32) {
+	n := uint32(numBlocksFor(df))
+	at := s.terms[id].skip
+	return s.skips[at : at+n-1], s.blockMaxes[at+uint32(id) : at+uint32(id)+n]
+}
+
+// lists returns term id's posting list and positions stream on a
+// resident segment, sub-slices of the image.
+func (s *Segment) lists(id int32, e entry) (list, stream []byte) {
+	at := int(s.layout.PostOff) + int(s.terms[id].post)
+	return s.data[at : at+e.plen : at+e.plen], s.data[at+e.plen : at+e.plen+e.posLen]
 }
 
 // NumDocs returns the number of documents in the segment.
 func (s *Segment) NumDocs() int { return len(s.docLens) }
 
 // NumTerms returns the number of distinct terms.
-func (s *Segment) NumTerms() int { return len(s.termList) }
+func (s *Segment) NumTerms() int { return len(s.terms) }
 
 // TotalPostings returns the total number of postings across all terms.
 func (s *Segment) TotalPostings() int64 {
 	var n int64
-	for _, df := range s.docFreqs {
-		n += int64(df)
+	for id := range s.terms {
+		n += int64(s.entry(int32(id)).DocFreq)
 	}
 	return n
 }
@@ -78,8 +168,37 @@ func (s *Segment) TotalLen() int64 { return s.totalLen }
 // DocLen returns the length (term count) of docID.
 func (s *Segment) DocLen(docID int32) int32 { return s.docLens[docID] }
 
-// Doc returns the stored fields of docID.
-func (s *Segment) Doc(docID int32) StoredDoc { return s.docs[docID] }
+// storedFields returns where docID's URL, title and snippet lie in the
+// image, each [lo, hi), and its quality.
+func (s *Segment) storedFields(docID int32) (f [3][2]int, quality float32) {
+	at := int(s.stored[docID])
+	for i := range f {
+		if i == 2 {
+			quality = math.Float32frombits(binary.LittleEndian.Uint32(s.data[at:]))
+			at += 4
+		}
+		n, k := binary.Uvarint(s.data[at:])
+		f[i] = [2]int{at + k, at + k + int(n)}
+		at = f[i][1]
+	}
+	return f, quality
+}
+
+// Doc returns the stored fields of docID, copied out of the image in
+// one allocation: a caller may keep them after the segment is gone.
+func (s *Segment) Doc(docID int32) StoredDoc {
+	f, q := s.storedFields(docID)
+	rec, base := string(s.data[f[0][0]:f[2][1]]), f[0][0]
+	return StoredDoc{URL: rec[f[0][0]-base : f[0][1]-base], Title: rec[f[1][0]-base : f[1][1]-base],
+		Quality: q, Snippet: rec[f[2][0]-base:]}
+}
+
+// Quality returns docID's stored quality score without decoding its
+// strings.
+func (s *Segment) Quality(docID int32) float32 {
+	_, q := s.storedFields(docID)
+	return q
+}
 
 // BM25 returns the segment's scoring parameters.
 func (s *Segment) BM25() BM25Params { return s.bm25 }
@@ -95,48 +214,61 @@ func (s *Segment) LengthNorms(avg float64) []float64 {
 	return s.bm25.lengthNorms(s.docLens, avg)
 }
 
-// buildLengthNorms computes the segment's own length-norm table; every
-// constructor calls it once the document lengths are final.
-func (s *Segment) buildLengthNorms() {
-	s.lengthNorms = s.bm25.lengthNorms(s.docLens, s.AvgDocLen())
+// lookup finds term's ID through the dictionary's hash index.
+func (s *Segment) lookup(term string) (int32, bool) {
+	for i := s.slot(maphash.String(termSeed, term)); s.slots[i] != 0; i = (i + 1) % len(s.slots) {
+		if id := int32(s.slots[i]) - 1; string(s.termAt(id)) == term {
+			return id, true
+		}
+	}
+	return 0, false
 }
 
 // Term reports the dictionary entry for term, if present.
 func (s *Segment) Term(term string) (TermInfo, bool) {
-	id, ok := s.terms[term]
+	id, ok := s.lookup(term)
 	if !ok {
 		return TermInfo{}, false
 	}
-	return TermInfo{
-		ID:       id,
-		DocFreq:  s.docFreqs[id],
-		CollFreq: s.collFreqs[id],
-		MaxScore: s.maxScores[id],
-	}, true
+	return s.entry(id).TermInfo, true
 }
 
-// Terms returns all dictionary terms in lexicographic order. The caller
-// must not modify the returned slice.
-func (s *Segment) Terms() []string { return s.termList }
+// Terms returns all dictionary terms in lexicographic order, as a new
+// slice of copies.
+func (s *Segment) Terms() []string {
+	out := make([]string, len(s.terms))
+	for id := range out {
+		out[id] = string(s.termAt(int32(id)))
+	}
+	return out
+}
 
 // IDF returns the BM25 inverse document frequency of term within this
 // segment (0 for absent terms).
 func (s *Segment) IDF(term string) float64 {
-	id, ok := s.terms[term]
+	ti, ok := s.Term(term)
 	if !ok {
 		return 0
 	}
-	return IDF(int64(len(s.docLens)), int64(s.docFreqs[id]))
+	return IDF(int64(len(s.docLens)), int64(ti.DocFreq))
 }
 
 // Postings returns an iterator over term's posting list. ok is false when
 // the term is absent.
-func (s *Segment) Postings(term string) (PostingsIterator, bool) {
-	id, ok := s.terms[term]
+func (s *Segment) Postings(term string) (PostingsIterator, bool) { return s.postings(term, true) }
+
+// PostingsWithoutSkips returns an iterator that never uses the skip
+// table, for the skip-list ablation.
+func (s *Segment) PostingsWithoutSkips(term string) (PostingsIterator, bool) {
+	return s.postings(term, false)
+}
+
+func (s *Segment) postings(term string, withSkips bool) (PostingsIterator, bool) {
+	id, ok := s.lookup(term)
 	if !ok {
 		return PostingsIterator{doc: exhaustedDoc}, false
 	}
-	return s.PostingsByID(id), true
+	return s.postingsByID(id, withSkips), true
 }
 
 // PostingsByID returns an iterator for a dictionary term ID. On a lazy
@@ -145,26 +277,20 @@ func (s *Segment) Postings(term string) (PostingsIterator, bool) {
 // reader's failure count. Query evaluation shares one LazyQuery per
 // query and reports Incomplete.
 func (s *Segment) PostingsByID(id int32) PostingsIterator {
-	if s.lazy != nil {
-		return s.lazyIterator(id, true)
-	}
-	it := newPostingsIterator(s.postings[id], s.docFreqs[id])
-	it.skips = s.skips[id]
-	it.blockMaxes = s.blockMaxes[id]
-	return it
+	return s.postingsByID(id, true)
 }
 
-// PostingsWithoutSkips returns an iterator that never uses the skip
-// table, for the skip-list ablation.
-func (s *Segment) PostingsWithoutSkips(term string) (PostingsIterator, bool) {
-	id, ok := s.terms[term]
-	if !ok {
-		return PostingsIterator{doc: exhaustedDoc}, false
+func (s *Segment) postingsByID(id int32, withSkips bool) PostingsIterator {
+	if s.src != nil {
+		return s.NewLazyQuery().Postings(id, withSkips)
 	}
-	if s.lazy != nil {
-		return s.lazyIterator(id, false), true
+	e := s.entry(id)
+	list, _ := s.lists(id, e)
+	it := newPostingsIterator(list, e.DocFreq)
+	if withSkips {
+		it.skips, it.blockMaxes = s.skipsOf(id, e.DocFreq)
 	}
-	return newPostingsIterator(s.postings[id], s.docFreqs[id]), true
+	return it
 }
 
 // PostingsBytes returns the size of the postings section — the encoded
@@ -172,15 +298,5 @@ func (s *Segment) PostingsWithoutSkips(term string) (PostingsIterator, bool) {
 // experiment for compression accounting. Lazy segments report the size
 // of the remote section; none of it need be resident.
 func (s *Segment) PostingsBytes() int64 {
-	if s.lazy != nil {
-		return s.lazy.offs[len(s.lazy.offs)-1]
-	}
-	var n int64
-	for id, p := range s.postings {
-		n += int64(len(p))
-		if s.positions {
-			n += int64(len(s.posStreams[id]))
-		}
-	}
-	return n
+	return s.layout.FileSize - SegmentFooterLen - s.layout.PostOff
 }

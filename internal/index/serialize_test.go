@@ -6,6 +6,8 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"websearchbench/internal/corpus"
@@ -186,6 +188,24 @@ func TestReadSegmentHugeCounts(t *testing.T) {
 	}
 }
 
+// TestReadSegmentHugeListLength: a few-hundred-byte file whose
+// dictionary claims a 2^28-byte posting list is rejected without
+// allocating anything near the claim. Not parallel: it reads
+// process-wide allocation counters.
+func TestReadSegmentHugeListLength(t *testing.T) {
+	data := hugeListFile()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadSegment(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 2^28-byte list length in a small file was accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("rejecting a %d-byte file allocated %d bytes", len(data), grew)
+	}
+}
+
 // TestReadSegmentBadPositionsStream: a positions stream that is cut
 // short or carries bytes past its last posting's positions is rejected
 // at load, framed consistently in the dictionary or not.
@@ -197,14 +217,10 @@ func TestReadSegmentBadPositionsStream(t *testing.T) {
 		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }},
 		{"trailing", func(b []byte) []byte { return append(b, 0) }},
 	} {
-		s := buildTiny(t, WithPositions())
-		ti, _ := s.Term("gamma")
-		s.posStreams[ti.ID] = tc.edit(append([]byte(nil), s.posStreams[ti.ID]...))
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ReadSegment(&buf); err == nil {
+		p := tinyBuilder(t, WithPositions()).finish()
+		i := slices.IndexFunc(p.lists, func(l termList) bool { return l.term == "gamma" })
+		p.lists[i].pos = tc.edit(append([]byte(nil), p.lists[i].pos...))
+		if _, err := ReadSegment(bytes.NewReader(p.write())); err == nil {
 			t.Errorf("%s positions stream accepted", tc.name)
 		}
 	}
@@ -227,12 +243,12 @@ func TestReadSegmentCorruptPostingDelta(t *testing.T) {
 			continue
 		}
 		n := int32(got.NumDocs())
-		for id := range got.termList {
+		for id, term := range got.Terms() {
 			it := got.PostingsByID(int32(id))
 			last := int32(-1)
 			for it.Next() {
 				if d := it.Doc(); d <= last || d >= n {
-					t.Fatalf("offset %d: term %q docID %d out of order/range", off, got.termList[id], d)
+					t.Fatalf("offset %d: term %q docID %d out of order/range", off, term, d)
 				} else {
 					last = d
 				}

@@ -6,10 +6,11 @@ import "math"
 // offset, postings consumed) checkpoints so SkipTo can jump over runs of
 // postings instead of decoding them one by one — the structure that makes
 // conjunctive (leapfrog) evaluation sublinear, exactly as in the Lucene
-// index the benchmark serves with. Tables are built when a segment is
-// finalized and serialized with it; their byte positions double as the
-// block boundaries remote readers use for range fetches (see v05.go), so
-// a whole-stream load rebuilds them and checks the two agree.
+// index the benchmark serves with. The encoder records a checkpoint as
+// it flushes each block, and the table is serialized with the list; its
+// byte positions double as the block boundaries remote readers use for
+// range fetches (see v05.go), so a whole-file load re-derives them while
+// it decodes the list and checks the two agree.
 //
 // Block-max metadata rides on the same block structure: each run of
 // skipInterval postings between checkpoints is a "block", and the segment
@@ -32,36 +33,12 @@ const (
 	skipMinDocFreq = 128
 )
 
-// skipEntry is the iterator state immediately after decoding a posting.
+// skipEntry is the iterator state immediately after decoding posting
+// (k+1)·skipInterval, for entry k of a table: the file also records that
+// count, which is the entry's position and so not held in memory.
 type skipEntry struct {
-	doc  int32 // docID of the checkpoint posting
-	pos  int32 // byte offset just past the checkpoint posting
-	used int32 // postings consumed through the checkpoint (1-based)
-}
-
-// buildSkips constructs skip tables for all qualifying posting lists.
-// skipInterval equals packedBlockLen, so every checkpoint lands exactly
-// on a packed block boundary (the iterator's byte position just after
-// posting k·skipInterval is the start of block k+1).
-func (s *Segment) buildSkips() {
-	s.skips = make([][]skipEntry, len(s.postings))
-	for id, buf := range s.postings {
-		if s.docFreqs[id] >= skipMinDocFreq {
-			s.skips[id] = skipTable(newPostingsIterator(buf, s.docFreqs[id]))
-		}
-	}
-}
-
-// skipTable walks a posting list and checkpoints every
-// skipInterval-th posting.
-func skipTable(it PostingsIterator) []skipEntry {
-	var table []skipEntry
-	for i := int32(1); it.Next(); i++ {
-		if i%skipInterval == 0 {
-			table = append(table, skipEntry{doc: it.Doc(), pos: int32(it.pos), used: i})
-		}
-	}
-	return table
+	doc int32 // docID of the checkpoint posting
+	pos int32 // byte offset just past the checkpoint posting
 }
 
 // seekSkip jumps the iterator to the last checkpoint strictly before
@@ -95,7 +72,7 @@ func (it *PostingsIterator) seekSkip(target int32) {
 	e := skips[lo]
 	it.doc = e.doc
 	it.pos = int(e.pos)
-	it.count = it.initCount - e.used
+	it.count = it.initCount - int32(lo+1)*skipInterval
 }
 
 // numBlocksFor returns the number of block-max blocks a posting list of
@@ -119,37 +96,32 @@ func quantizeUp(x float64) float32 {
 	return f
 }
 
-// computeBlockMaxes records, for every posting list, the maximum BM25
-// contribution within each skipInterval-long block. Must run after
-// computeMaxScores.
-func (s *Segment) computeBlockMaxes() {
-	n := int64(len(s.docLens))
-	s.blockMaxes = make([][]float32, len(s.postings))
-	for id := range s.postings {
-		df := s.docFreqs[id]
-		if df < skipMinDocFreq {
-			// One block covering the whole list: the exact term-level
-			// bound already stored in the dictionary.
-			s.blockMaxes[id] = []float32{s.maxScores[id]}
-			continue
+// blockBounds walks one posting list and returns its exact term-level
+// bound, the one MaxScore pruning uses, and its block maxima appended to
+// blocks: one per skipInterval postings plus the final (possibly empty)
+// block on a list long enough for a skip table, else the term-level
+// bound alone. Every bound is quantized upward, so the float32 never
+// dips below the true maximum.
+func (p BM25Params) blockBounds(list []byte, df int32, idf float64, norms []float64, blocks []float32) (float32, []float32) {
+	it := newPostingsIterator(list, df)
+	var top, blockMax float64
+	for i := int32(1); it.Next(); i++ {
+		sc := p.ScoreNorm(idf, it.Freq(), norms[it.Doc()])
+		if sc > blockMax {
+			blockMax = sc
 		}
-		idf := IDF(n, int64(df))
-		blocks := make([]float32, numBlocksFor(df))
-		it := newPostingsIterator(s.postings[id], df)
-		var blockMax float64
-		for i := int32(1); it.Next(); i++ {
-			sc := s.bm25.ScoreNorm(idf, it.Freq(), s.lengthNorms[it.Doc()])
-			if sc > blockMax {
-				blockMax = sc
-			}
-			if i%skipInterval == 0 {
-				blocks[i/skipInterval-1] = quantizeUp(blockMax)
-				blockMax = 0
-			}
+		if sc > top {
+			top = sc
 		}
-		blocks[len(blocks)-1] = quantizeUp(blockMax)
-		s.blockMaxes[id] = blocks
+		if df >= skipMinDocFreq && i%skipInterval == 0 {
+			blocks = append(blocks, quantizeUp(blockMax))
+			blockMax = 0
+		}
 	}
+	if df < skipMinDocFreq {
+		return quantizeUp(top), append(blocks, quantizeUp(top))
+	}
+	return quantizeUp(top), append(blocks, quantizeUp(blockMax))
 }
 
 // NextShallow advances the shallow block cursor — without decoding any

@@ -36,22 +36,20 @@ func TestSkipTableBuilt(t *testing.T) {
 	if ti.DocFreq != 1000 {
 		t.Fatalf("df = %d", ti.DocFreq)
 	}
-	if s.skips == nil || len(s.skips[ti.ID]) == 0 {
+	if len(skipTableOf(s, ti.ID)) == 0 {
 		t.Fatal("no skip table for a 1000-posting list")
 	}
 	// Short lists get none.
 	sp, _ := s.Term("sparse")
-	if len(s.skips[sp.ID]) == 0 {
+	if len(skipTableOf(s, sp.ID)) == 0 {
 		t.Log("sparse list has a table too (df >= threshold), fine")
 	}
-	// Entries are spaced skipInterval apart and strictly increasing.
-	table := s.skips[ti.ID]
+	// Entry i checkpoints posting (i+1)·skipInterval; "common" is in
+	// every document, so that posting is document (i+1)·skipInterval−1.
+	table := skipTableOf(s, ti.ID)
 	for i, e := range table {
-		if e.used != int32((i+1)*skipInterval) {
-			t.Errorf("entry %d used = %d", i, e.used)
-		}
-		if i > 0 && e.doc <= table[i-1].doc {
-			t.Errorf("entry %d doc not increasing", i)
+		if want := int32((i+1)*skipInterval - 1); e.doc != want {
+			t.Errorf("entry %d checkpoints doc %d, want %d", i, e.doc, want)
 		}
 	}
 }
@@ -258,7 +256,7 @@ func TestSkipsSurviveSerialization(t *testing.T) {
 	s := buildLongList(t, 1000)
 	got := roundTrip(t, s)
 	ti, _ := got.Term("common")
-	if got.skips == nil || len(got.skips[ti.ID]) == 0 {
+	if len(skipTableOf(got, ti.ID)) == 0 {
 		t.Fatal("skip tables not rebuilt after deserialization")
 	}
 	fast, _ := got.Postings("common")

@@ -1,6 +1,9 @@
 package index
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Stats summarizes a segment for the characterization experiment (E1):
 // the table of index properties the paper's benchmark-anatomy section
@@ -39,18 +42,18 @@ type TermCount struct {
 func (s *Segment) ComputeStats(topN int) Stats {
 	st := Stats{
 		NumDocs:   len(s.docLens),
-		NumTerms:  len(s.termList),
+		NumTerms:  len(s.terms),
 		AvgDocLen: s.AvgDocLen(),
 	}
-	dfs := make([]int32, len(s.docFreqs))
-	copy(dfs, s.docFreqs)
-	sort.Slice(dfs, func(i, j int) bool { return dfs[i] < dfs[j] })
-	for _, df := range dfs {
-		st.TotalPostings += int64(df)
+	dfs := make([]int32, len(s.terms))
+	cfs := make([]int64, len(s.terms))
+	for id := range s.terms {
+		e := s.entry(int32(id))
+		dfs[id], cfs[id] = e.DocFreq, e.CollFreq
+		st.TotalPostings += int64(e.DocFreq)
+		st.TotalTermOccs += e.CollFreq
 	}
-	for _, cf := range s.collFreqs {
-		st.TotalTermOccs += cf
-	}
+	slices.Sort(dfs)
 	if n := len(dfs); n > 0 {
 		st.MaxDocFreq = dfs[n-1]
 		st.MeanDocFreq = float64(st.TotalPostings) / float64(n)
@@ -62,38 +65,28 @@ func (s *Segment) ComputeStats(topN int) Stats {
 	if st.PostingsBytes > 0 {
 		st.CompressionRatio = float64(st.RawPostingsBytes) / float64(st.PostingsBytes)
 	}
-	for _, d := range s.docs {
-		st.StoredBytes += int64(len(d.URL) + len(d.Title) + len(d.Snippet) + 4)
+	for d := range s.stored {
+		f, _ := s.storedFields(int32(d))
+		st.StoredBytes += int64(f[0][1] - f[0][0] + f[1][1] - f[1][0] + f[2][1] - f[2][0] + 4)
 	}
-	lens := make([]int32, len(s.docLens))
-	copy(lens, s.docLens)
-	sort.Slice(lens, func(i, j int) bool { return lens[i] < lens[j] })
+	lens := slices.Clone(s.docLens)
+	slices.Sort(lens)
 	if n := len(lens); n > 0 {
 		st.DocLenP50 = lens[n/2]
 		st.DocLenP99 = lens[n*99/100]
 		st.DocLenMax = lens[n-1]
 	}
 	if topN > 0 {
-		type tc struct {
-			id int32
-			cf int64
+		// Term IDs are in term order, so a stable sort by collection
+		// frequency breaks ties alphabetically.
+		ids := make([]int32, len(cfs))
+		for id := range ids {
+			ids[id] = int32(id)
 		}
-		all := make([]tc, len(s.collFreqs))
-		for id, cf := range s.collFreqs {
-			all[id] = tc{int32(id), cf}
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].cf != all[j].cf {
-				return all[i].cf > all[j].cf
-			}
-			return s.termList[all[i].id] < s.termList[all[j].id]
-		})
-		if topN > len(all) {
-			topN = len(all)
-		}
-		st.TopTerms = make([]TermCount, topN)
-		for i := 0; i < topN; i++ {
-			st.TopTerms[i] = TermCount{Term: s.termList[all[i].id], Count: all[i].cf}
+		slices.SortStableFunc(ids, func(a, b int32) int { return cmp.Compare(cfs[b], cfs[a]) })
+		st.TopTerms = make([]TermCount, min(topN, len(ids)))
+		for i, id := range ids[:len(st.TopTerms)] {
+			st.TopTerms[i] = TermCount{Term: string(s.entry(id).term), Count: cfs[id]}
 		}
 	}
 	return st

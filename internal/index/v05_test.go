@@ -131,12 +131,7 @@ func (m *memReader) ReadRuns(runs []BlockRun) {
 // with a reader slicing the in-memory postings section.
 func lazyFromBytes(t testing.TB, data []byte) (*Segment, *memReader) {
 	t.Helper()
-	layout, err := ParseSegmentFooter(data[len(data)-SegmentFooterLen:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := &memReader{post: data[layout.PostOff : layout.FileSize-SegmentFooterLen], cache: map[[2]int32][]byte{}}
-	seg, err := OpenLazySegment(data[:layout.PostOff], rd)
+	seg, rd, err := openLazy(data)
 	if err != nil {
 		t.Fatalf("OpenLazySegment: %v", err)
 	}

@@ -2,6 +2,7 @@ package live
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -213,7 +214,8 @@ func NewRecoveredIndex(cfg Config, segs []RecoveredSegment, nextSegID uint64) *I
 		}
 		keys := make([]string, n)
 		for i := 0; i < n; i++ {
-			keys[i] = rs.Seg.Doc(int32(i)).URL
+			// A clone, so the key does not keep the whole stored record.
+			keys[i] = strings.Clone(rs.Seg.Doc(int32(i)).URL)
 			if !tomb.Has(int32(i)) {
 				li.keyRefs[keys[i]] = docRef{segID: rs.ID, local: int32(i)}
 			}

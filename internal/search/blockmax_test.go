@@ -1,6 +1,7 @@
 package search
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -244,6 +245,77 @@ func TestSearchIntoAllocationFree(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(50, func() { s.SearchInto(c.q, &res) }); n != 0 {
 			t.Errorf("%s: %v allocs per steady-state SearchInto, want 0", c.name, n)
+		}
+	}
+}
+
+// memBlocks is an index.BlockReader over an in-memory postings section
+// that keeps every block it reads resident.
+type memBlocks struct {
+	post  []byte
+	cache map[[2]int32][]byte
+}
+
+func (m *memBlocks) Cached(term int32, block int) []byte {
+	return m.cache[[2]int32{term, int32(block)}]
+}
+
+func (m *memBlocks) Needed(hits, misses int) {}
+
+func (m *memBlocks) ReadRuns(runs []index.BlockRun) {
+	for i := range runs {
+		off := runs[i].Off
+		for j, sz := range runs[i].Sizes {
+			runs[i].Blocks[j] = m.post[off : off+int64(sz)]
+			m.cache[[2]int32{runs[i].Term, int32(runs[i].First + j)}] = runs[i].Blocks[j]
+			off += int64(sz)
+		}
+	}
+}
+
+// TestLazySearchIntoAllocations: once every block a query needs is
+// resident, evaluating it on a lazy segment allocates at most twice —
+// its fetch state is recycled, not rebuilt per query — whichever
+// strategy runs it.
+func TestLazySearchIntoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	seg, vocab := blockMaxCorpus(t, 2000)
+	var buf bytes.Buffer
+	if _, err := seg.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	layout, err := index.ParseSegmentFooter(data[len(data)-index.SegmentFooterLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := &memBlocks{post: data[layout.PostOff : layout.FileSize-index.SegmentFooterLen], cache: map[[2]int32][]byte{}}
+	lazy, err := index.OpenLazySegment(data[:layout.PostOff], layout, rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := textproc.NewAnalyzer()
+	and := ParseQuery(a, vocab.Word(5)+" "+vocab.Word(30)+" "+vocab.Word(60), ModeAnd)
+	or := ParseQuery(a, vocab.Word(0)+" "+vocab.Word(3)+" "+vocab.Word(40)+" "+vocab.Word(90), ModeOr)
+	for _, c := range []struct {
+		name string
+		opts Options
+		q    Query
+	}{
+		{"and", Options{TopK: 10}, and},
+		{"pruned-or", Options{TopK: 10, UseMaxScore: true}, or},
+		{"exhaustive-or", Options{TopK: 10}, or},
+	} {
+		s := NewSearcher(lazy, c.opts)
+		var res Result
+		s.SearchInto(c.q, &res)
+		if len(res.Hits) == 0 || res.Incomplete {
+			t.Fatalf("%s: %d hits, incomplete %v", c.name, len(res.Hits), res.Incomplete)
+		}
+		if n := testing.AllocsPerRun(50, func() { s.SearchInto(c.q, &res) }); n > 2 {
+			t.Errorf("%s: %v allocs per warm lazy SearchInto, want <= 2", c.name, n)
 		}
 	}
 }

@@ -79,6 +79,7 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 	var lz *index.LazyQuery
 	if s.seg.IsLazy() {
 		lz = s.seg.NewLazyQuery()
+		defer lz.Release()
 	}
 	phrases := make([]phraseScorer, 0, len(q.Phrases))
 	for _, terms := range q.Phrases {

@@ -184,6 +184,9 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 		clear(scorers) // drop iterator references so pooled memory pins nothing
 		*sp = scorers[:0]
 		scorersPool.Put(sp)
+		if lz != nil {
+			lz.Release()
+		}
 	}
 	for _, term := range q.Terms {
 		ti, ok := s.seg.Term(term)
@@ -196,7 +199,7 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 			}
 			continue
 		}
-		idf := s.seg.IDF(term)
+		idf := index.IDF(int64(s.seg.NumDocs()), int64(ti.DocFreq))
 		ub := float64(ti.MaxScore)
 		if s.opts.Stats != nil {
 			idf = index.IDF(s.opts.Stats.NumDocs, s.opts.Stats.DocFreqs[term])
@@ -284,7 +287,7 @@ func (s *Searcher) alive(doc int32) bool {
 // docScore computes the final score for a doc given its summed term score.
 func (s *Searcher) docScore(doc int32, termScore float64) float64 {
 	if s.opts.QualityBoost != 0 {
-		termScore += s.opts.QualityBoost * float64(s.seg.Doc(doc).Quality)
+		termScore += s.opts.QualityBoost * float64(s.seg.Quality(doc))
 	}
 	return termScore
 }
