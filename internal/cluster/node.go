@@ -152,8 +152,8 @@ func (n *Node) handleSearch(w http.ResponseWriter, r *http.Request) {
 			sc.hits = []WireHit{} // a node that matched nothing answers "hits":[]
 		}
 		for _, h := range psc.Hits {
-			doc := sr.Doc(h.Doc)
-			sc.hits = append(sc.hits, WireHit{URL: doc.URL, Title: doc.Title, Score: h.Score})
+			url, title := sr.URLTitle(h.Doc)
+			sc.hits = append(sc.hits, WireHit{URL: url, Title: title, Score: h.Score})
 		}
 		var err error
 		sc.buf, err = appendSearchResponse(sc.buf[:0], &SearchResponse{

@@ -83,7 +83,7 @@ func TestShallowCursor(t *testing.T) {
 		}
 	}
 	// Without metadata the shallow cursor reports unusable.
-	it, _ := s.PostingsWithoutSkips("common")
+	it, _ := s.postings("common", false)
 	if it.NextShallow(10) {
 		t.Fatal("NextShallow = true on an iterator without block metadata")
 	}

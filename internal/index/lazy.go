@@ -163,12 +163,20 @@ func (q *LazyQuery) list(id int32) *lazyList {
 // Postings returns an iterator over term id's list whose blocks are
 // read through the query. Nothing is read here.
 func (q *LazyQuery) Postings(id int32, withSkips bool) PostingsIterator {
-	l := q.list(id)
-	it := PostingsIterator{count: l.df, initCount: l.df, doc: -1, lazy: l}
-	if withSkips {
-		it.skips, it.blockMaxes = l.table, l.maxes
-	}
+	var it PostingsIterator
+	q.PostingsInto(&it, id, withSkips)
 	return it
+}
+
+// PostingsInto is Postings building the iterator in *it, whatever it
+// held before.
+func (q *LazyQuery) PostingsInto(it *PostingsIterator, id int32, withSkips bool) {
+	l := q.list(id)
+	if withSkips {
+		it.reset(nil, l, l.df, l.table, l.maxes)
+	} else {
+		it.reset(nil, l, l.df, nil, nil)
+	}
 }
 
 // Positions returns a positional iterator over term id's list. Its

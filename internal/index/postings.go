@@ -64,7 +64,22 @@ type PostingsIterator struct {
 // newPostingsIterator returns an iterator over an encoded posting list
 // holding count postings.
 func newPostingsIterator(buf []byte, count int32) PostingsIterator {
-	return PostingsIterator{win: buf, count: count, initCount: count, doc: -1}
+	var it PostingsIterator
+	it.reset(buf, nil, count, nil, nil)
+	return it
+}
+
+// reset points it at the start of a list of count postings: resident in
+// buf, or read through lazy when that is non-nil. It sets every field
+// but the block scratch arrays, which bIdx == bLen == 0 marks as empty,
+// so an iterator is rebuilt where it lies without writing or copying
+// them.
+func (it *PostingsIterator) reset(buf []byte, lazy *lazyList, count int32, skips []skipEntry, blockMaxes []float32) {
+	it.pos, it.doc, it.freq = 0, -1, 0
+	it.count, it.initCount = count, count
+	it.skips, it.blockMaxes, it.shallow = skips, blockMaxes, 0
+	it.win, it.winBase, it.lazy = buf, 0, lazy
+	it.bIdx, it.bLen = 0, 0
 }
 
 // window returns the byte window containing it.pos and the window's

@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"hash/maphash"
 	"math"
+	"math/bits"
 )
 
 // StoredDoc is the per-document payload kept in the doc store: what the
@@ -55,8 +56,10 @@ type Segment struct {
 	stored []uint32
 	// terms is the dictionary in term (= ID) order.
 	terms []termEntry
-	// slots is Term's hash index of the dictionary (indexTerms).
-	slots []uint32
+	// slots is Term's hash index of the dictionary (indexTerms), and
+	// tagMask the high bits of a slot that hold its term's hash tag.
+	slots   []uint32
+	tagMask uint32
 	// skips holds every term's skip table and blockMaxes every term's
 	// block maxima, term after term.
 	skips      []skipEntry
@@ -110,19 +113,27 @@ func (s *Segment) termAt(id int32) []byte {
 var termSeed = maphash.MakeSeed()
 
 // indexTerms builds Term's hash index: open addressing with linear
-// probing at a load of 0.8, each slot a term's ID+1, 0 when empty.
+// probing at a load of 0.8, 0 for an empty slot. An occupied slot holds
+// its term's ID+1 in the low bits.Len(len(terms)) bits and the low bits
+// of the term's hash in the rest, a tag that rules out most other terms
+// on the probe path without reading their bytes.
 func (s *Segment) indexTerms() {
 	s.slots = make([]uint32, len(s.terms)+len(s.terms)/4+1)
+	s.tagMask = ^uint32(0) << bits.Len(uint(len(s.terms)))
 	for id := range s.terms {
-		i := s.slot(maphash.Bytes(termSeed, s.termAt(int32(id))))
+		h := maphash.Bytes(termSeed, s.termAt(int32(id)))
+		i := s.slot(h)
 		for s.slots[i] != 0 {
-			i = (i + 1) % len(s.slots)
+			if i++; i == len(s.slots) {
+				i = 0
+			}
 		}
-		s.slots[i] = uint32(id + 1)
+		s.slots[i] = uint32(h)&s.tagMask | uint32(id+1)
 	}
 }
 
-// slot returns the first slot of hash h.
+// slot returns the first slot of hash h. The slot comes from the hash's
+// high half and the tag from its low bits, so the two are independent.
 func (s *Segment) slot(h uint64) int { return int((h >> 32) * uint64(len(s.slots)) >> 32) }
 
 // skipsOf returns term id's skip table and block maxima.
@@ -193,6 +204,15 @@ func (s *Segment) Doc(docID int32) StoredDoc {
 		Quality: q, Snippet: rec[f[2][0]-base:]}
 }
 
+// URLTitle returns docID's URL and title, copied out of the image in one
+// allocation of their bytes: what a result line needs, without the
+// snippet Doc also copies.
+func (s *Segment) URLTitle(docID int32) (url, title string) {
+	f, _ := s.storedFields(docID)
+	rec, base := string(s.data[f[0][0]:f[1][1]]), f[0][0]
+	return rec[:f[0][1]-base], rec[f[1][0]-base:]
+}
+
 // Quality returns docID's stored quality score without decoding its
 // strings.
 func (s *Segment) Quality(docID int32) float32 {
@@ -214,11 +234,19 @@ func (s *Segment) LengthNorms(avg float64) []float64 {
 	return s.bm25.lengthNorms(s.docLens, avg)
 }
 
-// lookup finds term's ID through the dictionary's hash index.
+// lookup finds term's ID through the dictionary's hash index, reading
+// the bytes only of terms whose tag matches.
 func (s *Segment) lookup(term string) (int32, bool) {
-	for i := s.slot(maphash.String(termSeed, term)); s.slots[i] != 0; i = (i + 1) % len(s.slots) {
-		if id := int32(s.slots[i]) - 1; string(s.termAt(id)) == term {
-			return id, true
+	h := maphash.String(termSeed, term)
+	tag := uint32(h) & s.tagMask
+	for i := s.slot(h); s.slots[i] != 0; {
+		if v := s.slots[i]; v&s.tagMask == tag {
+			if id := int32(v&^s.tagMask) - 1; string(s.termAt(id)) == term {
+				return id, true
+			}
+		}
+		if i++; i == len(s.slots) {
+			i = 0
 		}
 	}
 	return 0, false
@@ -257,12 +285,8 @@ func (s *Segment) IDF(term string) float64 {
 // the term is absent.
 func (s *Segment) Postings(term string) (PostingsIterator, bool) { return s.postings(term, true) }
 
-// PostingsWithoutSkips returns an iterator that never uses the skip
-// table, for the skip-list ablation.
-func (s *Segment) PostingsWithoutSkips(term string) (PostingsIterator, bool) {
-	return s.postings(term, false)
-}
-
+// postings is Postings, or with withSkips false the skip-list
+// ablation's iterator, which ignores the skip table.
 func (s *Segment) postings(term string, withSkips bool) (PostingsIterator, bool) {
 	id, ok := s.lookup(term)
 	if !ok {
@@ -281,16 +305,28 @@ func (s *Segment) PostingsByID(id int32) PostingsIterator {
 }
 
 func (s *Segment) postingsByID(id int32, withSkips bool) PostingsIterator {
+	var it PostingsIterator
+	s.PostingsByIDInto(&it, id, withSkips)
+	return it
+}
+
+// PostingsByIDInto builds term id's iterator in *it, whatever it held
+// before, so an evaluator keeps its iterators where they stay for the
+// whole query instead of copying them there. withSkips false gives the
+// skip-list ablation's iterator, which ignores the skip table.
+func (s *Segment) PostingsByIDInto(it *PostingsIterator, id int32, withSkips bool) {
 	if s.src != nil {
-		return s.NewLazyQuery().Postings(id, withSkips)
+		s.NewLazyQuery().PostingsInto(it, id, withSkips)
+		return
 	}
 	e := s.entry(id)
 	list, _ := s.lists(id, e)
-	it := newPostingsIterator(list, e.DocFreq)
 	if withSkips {
-		it.skips, it.blockMaxes = s.skipsOf(id, e.DocFreq)
+		skips, maxes := s.skipsOf(id, e.DocFreq)
+		it.reset(list, nil, e.DocFreq, skips, maxes)
+	} else {
+		it.reset(list, nil, e.DocFreq, nil, nil)
 	}
-	return it
 }
 
 // PostingsBytes returns the size of the postings section — the encoded

@@ -152,3 +152,14 @@ func (it *PostingsIterator) BlockMax() float64 {
 	}
 	return math.Inf(1)
 }
+
+// BlockLast returns the last docID of the current shallow block — the
+// block NextShallow last positioned on — or the exhausted sentinel for
+// the list's final block, which runs to the end. NextShallow(BlockLast()+1)
+// moves the cursor to the following block.
+func (it *PostingsIterator) BlockLast() int32 {
+	if it.shallow < len(it.skips) {
+		return it.skips[it.shallow].doc
+	}
+	return exhaustedDoc
+}

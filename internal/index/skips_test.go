@@ -59,7 +59,7 @@ func TestSkipToWithTableMatchesLinear(t *testing.T) {
 	targets := []int32{0, 1, 63, 64, 65, 500, 1234, 1999, 2000}
 	for _, target := range targets {
 		fast, _ := s.Postings("common")
-		slow, _ := s.PostingsWithoutSkips("common")
+		slow, _ := s.postings("common", false)
 		fok := fast.SkipTo(target)
 		sok := slow.SkipTo(target)
 		if fok != sok {
@@ -154,7 +154,7 @@ func TestSkipEquivalenceProperty(t *testing.T) {
 		ref, term := refs[l], fmt.Sprintf("t%03d", l)
 		it, _ := s.Postings(term)
 		if !withSkips {
-			it, _ = s.PostingsWithoutSkips(term)
+			it, _ = s.postings(term, false)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		// A block of this list spans about blockSpan documents; strides
@@ -280,7 +280,7 @@ func BenchmarkSkipToLinear(b *testing.B) {
 	s := buildLongList(b, 20000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		it, _ := s.PostingsWithoutSkips("common")
+		it, _ := s.postings("common", false)
 		for target := int32(0); target < 20000; target += 500 {
 			it.SkipTo(target)
 		}

@@ -103,14 +103,27 @@ type memView struct {
 	base     int32
 }
 
+// memAcc is a memView query's scoring state: per-document score and
+// count of matched terms, indexed by memtable-local docID, and the docs
+// touched, which are the entries to zero when the query is done.
+// Pooled, so a warm view allocates nothing per query.
+type memAcc struct {
+	scores  []float64
+	terms   []int32
+	touched []int32
+}
+
+var memAccPool = sync.Pool{New: func() any { return new(memAcc) }}
+
 // SearchIntoShared evaluates q against the view into res: the local
 // top-k in the segment searchers' order (descending score, ascending
 // docID), with Matches counting the documents scored. The view is the
-// memtable member of a snapshot's partition.View set; its
-// map-accumulator scorer does not prune, so it neither consults nor
-// publishes the shared threshold. The memtable holds no positions, so
-// phrase queries match nothing here — mirroring segment behavior on
-// non-positional indexes.
+// memtable member of a snapshot's partition.View set. Its lists are
+// summed term by term into dense per-document accumulators and the
+// documents touched are ranked through a bounded heap; it does not
+// prune, so it neither consults nor publishes the shared threshold. The
+// memtable holds no positions, so phrase queries match nothing here —
+// mirroring segment behavior on non-positional indexes.
 func (v *memView) SearchIntoShared(q search.Query, res *search.Result, k int, _ *search.ThresholdShare) {
 	res.Reset()
 	if v.upTo == 0 || len(q.Phrases) > 0 {
@@ -118,54 +131,46 @@ func (v *memView) SearchIntoShared(q search.Query, res *search.Result, k int, _ 
 	}
 	bm := index.DefaultBM25()
 	avg := float64(v.totalLen) / float64(v.upTo)
-	type acc struct {
-		score float64
-		terms int
+	acc := memAccPool.Get().(*memAcc)
+	defer memAccPool.Put(acc)
+	if len(acc.scores) < int(v.upTo) {
+		acc.scores = make([]float64, v.upTo)
+		acc.terms = make([]int32, v.upTo)
 	}
-	accs := make(map[int32]*acc)
-	nTerms := 0
+	nTerms := int32(0)
 	for _, term := range q.Terms {
 		docs, freqs := v.mem.postings(term)
 		n := sort.Search(len(docs), func(i int) bool { return docs[i] >= v.upTo })
 		if n == 0 {
 			if q.Mode == search.ModeAnd {
-				return // a missing term empties the conjunction
+				nTerms = -1 // a missing term empties the conjunction
+				break
 			}
 			continue
 		}
 		nTerms++
 		res.PostingsScanned += int64(n)
 		idf := index.IDF(int64(v.upTo), int64(n))
-		for i := 0; i < n; i++ {
-			d := docs[i]
+		for i, d := range docs[:n] {
 			if v.dead.Has(d) {
 				continue
 			}
-			a := accs[d]
-			if a == nil {
-				a = &acc{}
-				accs[d] = a
+			if acc.terms[d] == 0 {
+				acc.touched = append(acc.touched, d)
 			}
-			a.score += bm.Score(idf, freqs[i], v.docLens[d], avg)
-			a.terms++
+			acc.scores[d] += bm.Score(idf, freqs[i], v.docLens[d], avg)
+			acc.terms[d]++
 		}
 	}
-	hits := res.Hits
-	for d, a := range accs {
-		if q.Mode == search.ModeAnd && a.terms < nTerms {
-			continue
+	heap := search.GetTopK(k)
+	for _, d := range acc.touched {
+		if q.Mode != search.ModeAnd || acc.terms[d] == nTerms {
+			res.Matches++
+			heap.Offer(search.Hit{Doc: d, Score: acc.scores[d]})
 		}
-		hits = append(hits, search.Hit{Doc: d, Score: a.score})
+		acc.scores[d], acc.terms[d] = 0, 0
 	}
-	res.Matches = len(hits)
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc < hits[j].Doc
-	})
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	res.Hits = hits
+	acc.touched = acc.touched[:0]
+	res.Hits = heap.AppendSorted(res.Hits[:0])
+	search.PutTopK(heap)
 }

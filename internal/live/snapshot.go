@@ -134,22 +134,38 @@ func (s *Snapshot) Doc(global int32) index.StoredDoc {
 	return s.resolve(search.Hit{Doc: global}).Doc
 }
 
+// URLTitle returns the URL and title behind a snapshot-global docID,
+// without the rest of its stored fields.
+func (s *Snapshot) URLTitle(global int32) (url, title string) {
+	mv, sv, local := s.locate(global)
+	if mv != nil {
+		return mv.docs[local].URL, mv.docs[local].Title
+	}
+	return sv.seg.URLTitle(local)
+}
+
 // resolve maps a global-docID hit back to its source's key and stored
 // document.
 func (s *Snapshot) resolve(h search.Hit) Hit {
-	if h.Doc >= s.memBase {
+	mv, sv, local := s.locate(h.Doc)
+	if mv != nil {
+		return Hit{Key: mv.keys[local], Score: h.Score, Doc: mv.docs[local]}
+	}
+	return Hit{Key: sv.keys[local], Score: h.Score, Doc: sv.seg.Doc(local)}
+}
+
+// locate finds the view holding a global docID, a memtable view or a
+// segment view, and the docID local to it.
+func (s *Snapshot) locate(global int32) (*memView, *segView, int32) {
+	if global >= s.memBase {
 		// Walk the (few) memtable views newest-first; each covers docIDs
 		// [base, base+upTo).
 		for i := len(s.mems) - 1; i >= 0; i-- {
-			mv := s.mems[i]
-			if h.Doc >= mv.base {
-				local := h.Doc - mv.base
-				return Hit{Key: mv.keys[local], Score: h.Score, Doc: mv.docs[local]}
+			if mv := s.mems[i]; global >= mv.base {
+				return mv, nil, global - mv.base
 			}
 		}
 	}
-	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].base > h.Doc }) - 1
-	sv := s.segs[i]
-	local := h.Doc - sv.base
-	return Hit{Key: sv.keys[local], Score: h.Score, Doc: sv.seg.Doc(local)}
+	i := sort.Search(len(s.segs), func(i int) bool { return s.segs[i].base > global }) - 1
+	return nil, s.segs[i], global - s.segs[i].base
 }

@@ -182,6 +182,13 @@ func (idx *Index) Doc(global int32) index.StoredDoc {
 	return idx.segs[p].Doc(local)
 }
 
+// URLTitle returns the URL and title of a global docID, without the
+// rest of its stored fields.
+func (idx *Index) URLTitle(global int32) (url, title string) {
+	p, local := idx.locate(global)
+	return idx.segs[p].URLTitle(local)
+}
+
 // locate maps a global docID back to (partition, local docID). It panics
 // on an unknown ID, which indicates programmer error.
 func (idx *Index) locate(global int32) (int, int32) {

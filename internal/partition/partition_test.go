@@ -358,3 +358,15 @@ func TestFromSegmentsAllocation(t *testing.T) {
 		}
 	}
 }
+
+// TestURLTitle: the index resolves a global docID's URL and title as Doc
+// does, through the same partition map.
+func TestURLTitle(t *testing.T) {
+	idx, _, _ := buildBoth(t, 3)
+	for d := int32(0); d < int32(idx.NumDocs()); d++ {
+		doc := idx.Doc(d)
+		if url, title := idx.URLTitle(d); url != doc.URL || title != doc.Title {
+			t.Fatalf("doc %d: URLTitle = %q, %q; Doc = %q, %q", d, url, title, doc.URL, doc.Title)
+		}
+	}
+}

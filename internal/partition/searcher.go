@@ -45,11 +45,13 @@ type View interface {
 }
 
 // Source owns the data behind a view set: it resolves the set's global
-// docIDs to stored documents, describes the set, and is told when a
-// search is done with it. A partitioned Index is a Source that ignores
-// Release; a live snapshot is one that counts references.
+// docIDs to stored documents (URLTitle to the two fields a result line
+// shows), describes the set, and is told when a search is done with it.
+// A partitioned Index is a Source that ignores Release; a live snapshot
+// is one that counts references.
 type Source interface {
 	Doc(global int32) index.StoredDoc
+	URLTitle(global int32) (url, title string)
 	NumDocs() int
 	AvgDocLen() float64
 	Release()

@@ -103,8 +103,10 @@ func sameUpToTies(got []Hit, ex *Searcher, q Query, k int) error {
 // segment with Block-Max and on the plain one with plain MaxScore,
 // pruned evaluation returns exhaustive evaluation's top-k: exactly for
 // AND, which never prunes, and up to the order of tied scores for OR.
-// The pinned seeds once swapped two tied docs under an exact comparison,
-// on the narrower inputs this property drew before.
+// The first two pinned seeds once swapped two tied docs under an exact
+// comparison, on the narrower inputs this property drew before; the
+// third draws one frequent term over tombstones, the single essential
+// list whose blocks the evaluator skips.
 func TestBlockMaxEquivalenceQuick(t *testing.T) {
 	const numDocs = 2500
 	seg, vocab := blockMaxCorpus(t, numDocs)
@@ -160,7 +162,7 @@ func TestBlockMaxEquivalenceQuick(t *testing.T) {
 		}
 		return true
 	}
-	for _, seed := range []int64{327927100304251875, 2183916446256731237} {
+	for _, seed := range []int64{327927100304251875, 2183916446256731237, 35} {
 		t.Run(fmt.Sprint("pinned-", seed), func(t *testing.T) {
 			if !property(seed) {
 				t.Fatal("pruned top-k differs from exhaustive")
@@ -207,6 +209,24 @@ func TestBlockMaxDecodesFewer(t *testing.T) {
 	}
 	t.Logf("postings decoded: maxscore=%d blockmax=%d (saved %.1f%%)",
 		msPost, bmPost, 100*(1-float64(bmPost)/float64(msPost)))
+
+	// A single head term is one essential list from the first window on:
+	// Block-Max skips its blocks that cannot enter the top-k.
+	var exPost, onePost int64
+	for rank := 0; rank < 30; rank++ {
+		q := ParseQuery(bm.Options().Analyzer, vocab.Word(rank), ModeOr)
+		b := bm.Search(q)
+		if err := sameUpToTies(b.Hits, ex, q, 10); err != nil {
+			t.Fatalf("term %q: Block-Max top-k differs from exhaustive: %v", vocab.Word(rank), err)
+		}
+		exPost += ex.Search(q).PostingsScanned
+		onePost += b.PostingsScanned
+	}
+	if onePost >= exPost {
+		t.Fatalf("single terms: Block-Max decoded %d postings, exhaustive %d: want strictly fewer", onePost, exPost)
+	}
+	t.Logf("single-term postings decoded: exhaustive=%d blockmax=%d (saved %.1f%%)",
+		exPost, onePost, 100*(1-float64(onePost)/float64(exPost)))
 }
 
 // raceEnabled is set by race_test.go in -race builds, where sync.Pool

@@ -97,15 +97,15 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 	}
 	// Loose terms are optional scorers probed per candidate.
 	loose := make([]termScorer, 0, len(q.Terms))
+	its := make([]index.PostingsIterator, len(q.Terms))
 	for _, term := range q.Terms {
 		ti, ok := s.seg.Term(term)
 		if !ok {
 			continue
 		}
-		loose = append(loose, termScorer{
-			it:  s.postings(term, ti.ID, lz),
-			idf: s.termIDF(term),
-		})
+		it := &its[len(loose)]
+		s.postingsInto(it, ti.ID, lz)
+		loose = append(loose, termScorer{it: it, idf: s.termIDF(term)})
 	}
 	if lz != nil {
 		// Phrase members are walked posting by posting: like an
@@ -116,7 +116,7 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 	res.Phases.Lookup = time.Since(lookupStart)
 
 	scoreStart := time.Now()
-	heap := getTopK(s.opts.TopK)
+	heap := GetTopK(s.opts.TopK)
 	avg := s.avgDocLen()
 	bm := s.seg.BM25()
 
@@ -174,7 +174,7 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 		}
 		if matched {
 			for li := range loose {
-				it := &loose[li].it
+				it := loose[li].it
 				if it.Doc() < d && !it.SkipTo(d) {
 					continue
 				}
@@ -183,15 +183,15 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 				}
 			}
 			res.Matches++
-			heap.offer(Hit{Doc: d, Score: s.docScore(d, score)})
+			heap.Offer(Hit{Doc: d, Score: s.docScore(d, score)})
 		}
 		doc = d + 1
 	}
 	res.Phases.Score = time.Since(scoreStart)
 
 	mergeStart := time.Now()
-	res.Hits = heap.appendSorted(res.Hits[:0])
-	putTopK(heap)
+	res.Hits = heap.AppendSorted(res.Hits[:0])
+	PutTopK(heap)
 	res.Phases.Merge = time.Since(mergeStart)
 	if lz != nil {
 		res.Incomplete = lz.Incomplete()

@@ -115,9 +115,12 @@ func (s *Searcher) ParseAndSearch(raw string, mode Mode) Result {
 	return res
 }
 
-// termScorer couples a postings iterator with its scoring state.
+// termScorer couples a postings iterator with its scoring state. The
+// iterator (about 600 bytes with its decoded block) lies in the query's
+// pooled iterator array, built there in place, so ordering the scorers
+// moves only this small header.
 type termScorer struct {
-	it  index.PostingsIterator
+	it  *index.PostingsIterator
 	idf float64
 	ub  float64 // upper bound on this term's contribution
 	// prefixUB is the sum of the upper bounds of this scorer and every
@@ -126,9 +129,15 @@ type termScorer struct {
 	prefixUB float64
 }
 
-// scorersPool recycles the per-query scorer slice; together with the
-// top-k heap pool it makes the steady-state query path allocation-free.
-var scorersPool = sync.Pool{New: func() any { return new([]termScorer) }}
+// queryState is a query's scorers and the iterators they point at.
+// Pooled: together with the top-k heap pool it makes the steady-state
+// query path allocation-free.
+type queryState struct {
+	scorers []termScorer
+	its     []index.PostingsIterator
+}
+
+var statePool = sync.Pool{New: func() any { return new(queryState) }}
 
 // Search evaluates an analyzed query and returns the ranked top-k.
 func (s *Searcher) Search(q Query) Result {
@@ -178,12 +187,18 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 	if s.seg.IsLazy() {
 		lz = s.seg.NewLazyQuery()
 	}
-	sp := scorersPool.Get().(*[]termScorer)
-	scorers := (*sp)[:0]
+	qs := statePool.Get().(*queryState)
+	if cap(qs.its) < len(q.Terms) {
+		// Grown before any scorer points into it, never after.
+		qs.its = make([]index.PostingsIterator, len(q.Terms))
+	}
+	scorers := qs.scorers[:0]
 	release := func() {
-		clear(scorers) // drop iterator references so pooled memory pins nothing
-		*sp = scorers[:0]
-		scorersPool.Put(sp)
+		// Drop iterator references so pooled memory pins nothing.
+		clear(qs.its[:len(scorers)])
+		clear(scorers)
+		qs.scorers = scorers[:0]
+		statePool.Put(qs)
 		if lz != nil {
 			lz.Release()
 		}
@@ -205,13 +220,11 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 			idf = index.IDF(s.opts.Stats.NumDocs, s.opts.Stats.DocFreqs[term])
 			ub = s.seg.BM25().MaxScore(idf)
 		}
-		scorers = append(scorers, termScorer{
-			it:  s.postings(term, ti.ID, lz),
-			idf: idf,
-			ub:  ub,
-		})
+		it := &qs.its[len(scorers)]
+		s.postingsInto(it, ti.ID, lz)
+		scorers = append(scorers, termScorer{it: it, idf: idf, ub: ub})
 	}
-	pruned := s.opts.UseMaxScore && s.opts.QualityBoost == 0 && len(scorers) > 1
+	pruned := s.opts.UseMaxScore && s.opts.QualityBoost == 0
 	if lz != nil {
 		// searchOr consumes every list whole; the strategies that can skip
 		// start from first blocks and read on as they get there.
@@ -224,7 +237,7 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 	}
 
 	scoreStart := time.Now()
-	heap := getTopK(k)
+	heap := GetTopK(k)
 	pc := pruneCtx{shared: shared}
 	switch {
 	case q.Mode == ModeAnd:
@@ -237,8 +250,8 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 	res.Phases.Score = time.Since(scoreStart)
 
 	mergeStart := time.Now()
-	res.Hits = heap.appendSorted(res.Hits[:0])
-	putTopK(heap)
+	res.Hits = heap.AppendSorted(res.Hits[:0])
+	PutTopK(heap)
 	res.Phases.Merge = time.Since(mergeStart)
 	if lz != nil {
 		res.Incomplete = lz.Incomplete()
@@ -256,17 +269,15 @@ func (s *Searcher) useBlockMax() bool {
 		!s.opts.DisableSkips
 }
 
-// postings returns the term's iterator, honoring the skip-list ablation
-// switch. lz is the query's fetch state on a lazy segment, else nil.
-func (s *Searcher) postings(term string, id int32, lz *index.LazyQuery) index.PostingsIterator {
+// postingsInto builds term id's iterator in *it, honoring the skip-list
+// ablation switch. lz is the query's fetch state on a lazy segment, else
+// nil.
+func (s *Searcher) postingsInto(it *index.PostingsIterator, id int32, lz *index.LazyQuery) {
 	if lz != nil {
-		return lz.Postings(id, !s.opts.DisableSkips)
+		lz.PostingsInto(it, id, !s.opts.DisableSkips)
+		return
 	}
-	if s.opts.DisableSkips {
-		it, _ := s.seg.PostingsWithoutSkips(term)
-		return it
-	}
-	return s.seg.PostingsByID(id)
+	s.seg.PostingsByIDInto(it, id, !s.opts.DisableSkips)
 }
 
 // avgDocLen returns the collection average document length used for
@@ -295,7 +306,7 @@ func (s *Searcher) docScore(doc int32, termScore float64) float64 {
 // searchOr is the exhaustive document-at-a-time disjunction. It never
 // prunes, but it still publishes its heap floor through pc so pruning
 // searchers over other partitions of the same query can tighten.
-func (s *Searcher) searchOr(scorers []termScorer, heap *topK, res *Result, pc pruneCtx) {
+func (s *Searcher) searchOr(scorers []termScorer, heap *TopK, res *Result, pc pruneCtx) {
 	avg := s.avgDocLen()
 	bm := s.seg.BM25()
 	// Prime all iterators.
@@ -317,7 +328,7 @@ func (s *Searcher) searchOr(scorers []termScorer, heap *topK, res *Result, pc pr
 		dl := s.seg.DocLen(min)
 		score := 0.0
 		for i := range scorers {
-			it := &scorers[i].it
+			it := scorers[i].it
 			if it.Doc() != min {
 				continue
 			}
@@ -338,7 +349,7 @@ func (s *Searcher) searchOr(scorers []termScorer, heap *topK, res *Result, pc pr
 // searchAnd is a leapfrog conjunction: iterators sorted by selectivity,
 // rarest first, skipping via SkipTo. Like searchOr it publishes but
 // never prunes.
-func (s *Searcher) searchAnd(scorers []termScorer, heap *topK, res *Result, pc pruneCtx) {
+func (s *Searcher) searchAnd(scorers []termScorer, heap *TopK, res *Result, pc pruneCtx) {
 	avg := s.avgDocLen()
 	bm := s.seg.BM25()
 	// Rarest term (highest IDF, hence shortest posting list) drives the
@@ -349,13 +360,13 @@ func (s *Searcher) searchAnd(scorers []termScorer, heap *topK, res *Result, pc p
 			scorers[j], scorers[j-1] = scorers[j-1], scorers[j]
 		}
 	}
-	lead := &scorers[0].it
+	lead := scorers[0].it
 	for lead.Next() {
 		res.PostingsScanned++
 		doc := lead.Doc()
 		match := true
 		for i := 1; i < len(scorers); i++ {
-			it := &scorers[i].it
+			it := scorers[i].it
 			before := it.Doc()
 			if !it.SkipTo(doc) {
 				return // some list exhausted: no more conjunctions
@@ -428,7 +439,7 @@ var windowPool = sync.Pool{New: func() any { return new(window) }}
 // hold the doc, read through the shallow cursor before the block is
 // decoded. Every bound is an upper bound on the doc's final score, so the
 // top-k is exhaustive evaluation's up to the order of floating-point adds.
-func (s *Searcher) searchPruned(scorers []termScorer, heap *topK, res *Result, pc pruneCtx) {
+func (s *Searcher) searchPruned(scorers []termScorer, heap *TopK, res *Result, pc pruneCtx) {
 	bm := s.seg.BM25()
 	norms := s.norms
 	deleted := s.opts.Deleted
@@ -439,6 +450,8 @@ func (s *Searcher) searchPruned(scorers []termScorer, heap *topK, res *Result, p
 	// firstEssential is the index of the first list that can, together
 	// with the lists before it, still beat the threshold.
 	firstEssential := 0
+	// scored is the end of the last window: every doc below it is done.
+	scored := int32(0)
 	for {
 		// theta is re-read once per window and after every hit the heap
 		// keeps; a shared floor raised meanwhile by another searcher only
@@ -448,6 +461,13 @@ func (s *Searcher) searchPruned(scorers []termScorer, heap *topK, res *Result, p
 			firstEssential++
 		}
 		nonEssential, essential := scorers[:firstEssential], scorers[firstEssential:]
+		// With one essential list, a window is at most the rest of its
+		// current block, and the list moves on between windows through
+		// skipBlocks, which jumps the blocks that cannot beat theta.
+		single := blockMax && len(essential) == 1
+		if single && !skipBlocks(essential[0].it, scored, nonEssential, theta, res) {
+			return
+		}
 		lo := exhaustedSentinel
 		for i := range essential {
 			lo = min(lo, essential[i].it.Doc())
@@ -456,8 +476,13 @@ func (s *Searcher) searchPruned(scorers []termScorer, heap *topK, res *Result, p
 			return
 		}
 		hi := lo + windowLen
+		if single {
+			if last := essential[0].it.BlockLast(); last < hi-1 {
+				hi = last + 1
+			}
+		}
 		for i := range essential {
-			it, idf := &essential[i].it, essential[i].idf
+			it, idf := essential[i].it, essential[i].idf
 			for it.Doc() < hi {
 				docs, freqs := it.Run(hi)
 				for j, d := range docs {
@@ -466,11 +491,18 @@ func (s *Searcher) searchPruned(scorers []termScorer, heap *topK, res *Result, p
 					w.hits[o>>6] |= 1 << (o & 63)
 				}
 				res.PostingsScanned += int64(len(docs) - 1)
+				if single && it.Doc() == it.BlockLast() {
+					// The run drained the block. The list stays on the
+					// last doc scored, so a block the next skipBlocks
+					// jumps is never decoded.
+					break
+				}
 				if it.Next() {
 					res.PostingsScanned++
 				}
 			}
 		}
+		scored = hi
 		for wi := range w.hits {
 		candidates:
 			for set := w.hits[wi]; set != 0; set &= set - 1 {
@@ -487,7 +519,7 @@ func (s *Searcher) searchPruned(scorers []termScorer, heap *topK, res *Result, p
 					if score+nonEssential[i].prefixUB <= theta {
 						continue candidates
 					}
-					it := &nonEssential[i].it
+					it := nonEssential[i].it
 					if it.Doc() < doc {
 						if blockMax {
 							// Shallow-advance to the doc's block and test the
@@ -519,6 +551,33 @@ func (s *Searcher) searchPruned(scorers []termScorer, heap *topK, res *Result, p
 			w.hits[wi] = 0
 		}
 	}
+}
+
+// skipBlocks moves the one essential list of a pruned evaluation to its
+// first doc at or above from that lies in a block which, with the bound
+// of every non-essential list added, can beat theta. It walks the
+// shallow cursor past the blocks that cannot, so only the block it lands
+// in is decoded. It reports false when no block left can: every other
+// list's bound is at or below theta, so the query is done.
+func skipBlocks(it *index.PostingsIterator, from int32, nonEssential []termScorer, theta float64, res *Result) bool {
+	bound := 0.0
+	if n := len(nonEssential); n > 0 {
+		bound = nonEssential[n-1].prefixUB
+	}
+	target := max(it.Doc(), from)
+	for it.NextShallow(target) && bound+it.BlockMax() <= theta {
+		if target = it.BlockLast(); target == exhaustedSentinel {
+			return false
+		}
+		target++
+	}
+	if target > it.Doc() {
+		if !it.SkipTo(target) {
+			return false
+		}
+		res.PostingsScanned++
+	}
+	return true
 }
 
 // sortAndPrime orders scorers by ascending upper bound, fills in the

@@ -102,7 +102,7 @@ type pruneCtx struct {
 // raised to the shared floor when a share is attached. The shared value
 // is a lower bound on the global kth score (see ThresholdShare), so
 // raising theta never prunes a true top-k hit.
-func (pc pruneCtx) theta(h *topK) float64 {
+func (pc pruneCtx) theta(h *TopK) float64 {
 	t := h.threshold()
 	if pc.shared != nil {
 		if g := pc.shared.Load(); g > t {
@@ -117,8 +117,8 @@ func (pc pruneCtx) theta(h *topK) float64 {
 // other searchers of this query to prune against. Every strategy
 // offers through here — even the non-pruning OR/AND paths publish, so
 // a pruning searcher on another partition benefits from their floors.
-func (pc pruneCtx) offer(h *topK, hit Hit) bool {
-	kept := h.offer(hit)
+func (pc pruneCtx) offer(h *TopK, hit Hit) bool {
+	kept := h.Offer(hit)
 	if kept && pc.shared != nil && len(h.items) >= h.k {
 		pc.shared.Raise(publishFloor(h.items[0].Score))
 	}

@@ -2,29 +2,30 @@ package search
 
 import "sync"
 
-// topK is a bounded min-heap of hits: the root is the weakest hit kept.
+// TopK is a bounded min-heap of hits: the root is the weakest hit kept.
 // Ties are broken so the hit with the larger docID is weaker, giving
-// deterministic results.
-type topK struct {
+// deterministic results. Every view of a fan-out ranks with it: the
+// segment searchers here and the live index's memtable views.
+type TopK struct {
 	k     int
 	items []Hit
 }
 
 // topkPool recycles heaps (struct plus item backing array) across
 // queries: the top-k heap is part of the allocation-free hot path.
-var topkPool = sync.Pool{New: func() any { return new(topK) }}
+var topkPool = sync.Pool{New: func() any { return new(TopK) }}
 
-// getTopK returns a pooled heap reset for k results. Release it with
-// putTopK after extracting results.
-func getTopK(k int) *topK {
-	h := topkPool.Get().(*topK)
+// GetTopK returns a pooled heap reset for k results. Release it with
+// PutTopK after extracting results.
+func GetTopK(k int) *TopK {
+	h := topkPool.Get().(*TopK)
 	h.k = k
 	h.items = h.items[:0]
 	return h
 }
 
-// putTopK returns a heap to the pool.
-func putTopK(h *topK) {
+// PutTopK returns a heap to the pool.
+func PutTopK(h *TopK) {
 	h.items = h.items[:0]
 	topkPool.Put(h)
 }
@@ -39,16 +40,16 @@ func weaker(a, b Hit) bool {
 
 // threshold returns the score a new hit must exceed to enter a full heap,
 // or -1 if the heap still has room (all non-negative scores qualify).
-func (h *topK) threshold() float64 {
+func (h *TopK) threshold() float64 {
 	if len(h.items) < h.k {
 		return -1
 	}
 	return h.items[0].Score
 }
 
-// offer inserts hit if it ranks above the current weakest (or the heap has
+// Offer inserts hit if it ranks above the current weakest (or the heap has
 // room). It returns true if the hit was kept.
-func (h *topK) offer(hit Hit) bool {
+func (h *TopK) Offer(hit Hit) bool {
 	if len(h.items) < h.k {
 		h.items = append(h.items, hit)
 		h.up(len(h.items) - 1)
@@ -62,7 +63,7 @@ func (h *topK) offer(hit Hit) bool {
 	return true
 }
 
-func (h *topK) up(i int) {
+func (h *TopK) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !weaker(h.items[i], h.items[parent]) {
@@ -73,7 +74,7 @@ func (h *topK) up(i int) {
 	}
 }
 
-func (h *topK) down(i int) {
+func (h *TopK) down(i int) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -92,11 +93,11 @@ func (h *topK) down(i int) {
 	}
 }
 
-// appendSorted appends the heap's hits to dst in descending rank order
+// AppendSorted appends the heap's hits to dst in descending rank order
 // and returns dst. It pops the heap empty — the root is always the
 // weakest hit left, so the pops fill dst's new tail from the back — and
 // allocates nothing once dst has the capacity.
-func (h *topK) appendSorted(dst []Hit) []Hit {
+func (h *TopK) AppendSorted(dst []Hit) []Hit {
 	n := len(dst)
 	dst = append(dst, h.items...)
 	for i := len(dst) - 1; i >= n; i-- {
@@ -119,17 +120,17 @@ func MergeTopK(lists [][]Hit, k int) []Hit {
 // MergeTopKInto is MergeTopK writing into dst's backing array (grown as
 // needed), so steady-state callers can merge without allocating.
 func MergeTopKInto(dst []Hit, lists [][]Hit, k int) []Hit {
-	h := getTopK(k)
+	h := GetTopK(k)
 	for _, list := range lists {
 		for _, hit := range list {
 			// Lists are descending, so once a hit fails the threshold
 			// no later hit from the same list can succeed.
-			if !h.offer(hit) && len(h.items) >= h.k {
+			if !h.Offer(hit) && len(h.items) >= h.k {
 				break
 			}
 		}
 	}
-	dst = h.appendSorted(dst[:0])
-	putTopK(h)
+	dst = h.AppendSorted(dst[:0])
+	PutTopK(h)
 	return dst
 }

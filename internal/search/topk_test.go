@@ -8,11 +8,11 @@ import (
 )
 
 func TestTopKBasics(t *testing.T) {
-	h := getTopK(3)
+	h := GetTopK(3)
 	for _, hit := range []Hit{{1, 0.5}, {2, 0.9}, {3, 0.1}, {4, 0.7}, {5, 0.3}} {
-		h.offer(hit)
+		h.Offer(hit)
 	}
-	got := h.appendSorted(nil)
+	got := h.AppendSorted(nil)
 	want := []Hit{{2, 0.9}, {4, 0.7}, {1, 0.5}}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)
@@ -25,21 +25,21 @@ func TestTopKBasics(t *testing.T) {
 }
 
 func TestTopKFewerThanK(t *testing.T) {
-	h := getTopK(10)
-	h.offer(Hit{7, 1.0})
-	h.offer(Hit{3, 2.0})
-	got := h.appendSorted(nil)
+	h := GetTopK(10)
+	h.Offer(Hit{7, 1.0})
+	h.Offer(Hit{3, 2.0})
+	got := h.AppendSorted(nil)
 	if len(got) != 2 || got[0].Doc != 3 || got[1].Doc != 7 {
 		t.Errorf("got %v", got)
 	}
 }
 
 func TestTopKTieBreakByDoc(t *testing.T) {
-	h := getTopK(2)
-	h.offer(Hit{5, 1.0})
-	h.offer(Hit{2, 1.0})
-	h.offer(Hit{9, 1.0})
-	got := h.appendSorted(nil)
+	h := GetTopK(2)
+	h.Offer(Hit{5, 1.0})
+	h.Offer(Hit{2, 1.0})
+	h.Offer(Hit{9, 1.0})
+	got := h.AppendSorted(nil)
 	// Equal scores: lower docID ranks higher; doc 9 is evicted.
 	if got[0].Doc != 2 || got[1].Doc != 5 {
 		t.Errorf("got %v, want docs [2 5]", got)
@@ -47,19 +47,19 @@ func TestTopKTieBreakByDoc(t *testing.T) {
 }
 
 func TestTopKThreshold(t *testing.T) {
-	h := getTopK(2)
+	h := GetTopK(2)
 	if h.threshold() != -1 {
 		t.Errorf("threshold of non-full heap = %v, want -1", h.threshold())
 	}
-	h.offer(Hit{1, 0.4})
-	h.offer(Hit{2, 0.8})
+	h.Offer(Hit{1, 0.4})
+	h.Offer(Hit{2, 0.8})
 	if h.threshold() != 0.4 {
 		t.Errorf("threshold = %v, want 0.4", h.threshold())
 	}
-	if h.offer(Hit{3, 0.3}) {
+	if h.Offer(Hit{3, 0.3}) {
 		t.Error("hit below threshold accepted")
 	}
-	if !h.offer(Hit{3, 0.5}) {
+	if !h.Offer(Hit{3, 0.5}) {
 		t.Error("hit above threshold rejected")
 	}
 	if h.threshold() != 0.5 {
@@ -67,7 +67,7 @@ func TestTopKThreshold(t *testing.T) {
 	}
 }
 
-// Property: topK returns exactly the k best hits of the offered stream,
+// Property: TopK returns exactly the k best hits of the offered stream,
 // in descending order with docID tie-breaking, matching a full sort.
 func TestTopKPropertyMatchesSort(t *testing.T) {
 	f := func(seed int64, kRaw, nRaw uint8) bool {
@@ -79,11 +79,11 @@ func TestTopKPropertyMatchesSort(t *testing.T) {
 			// Coarse scores to force plenty of ties.
 			hits[i] = Hit{Doc: int32(i), Score: float64(rng.Intn(10)) / 10}
 		}
-		h := getTopK(k)
+		h := GetTopK(k)
 		for _, hit := range hits {
-			h.offer(hit)
+			h.Offer(hit)
 		}
-		got := h.appendSorted(nil)
+		got := h.AppendSorted(nil)
 		ref := append([]Hit(nil), hits...)
 		sort.Slice(ref, func(i, j int) bool { return weaker(ref[j], ref[i]) })
 		if len(ref) > k {
