@@ -224,7 +224,7 @@ func main() {
 			})
 			if store != nil {
 				// The seed is only complete once it is durable: flush it
-				// (persisting segments and rotating the WAL), then drop
+				// (persisting segments and cutting the WAL), then drop
 				// the marker atomically.
 				if err := li.Flush(); err != nil {
 					log.Fatal(err)
@@ -392,7 +392,7 @@ func main() {
 	}
 	if store != nil {
 		// Graceful shutdown: flush the memtable (persisting it and
-		// rotating the WAL down to empty) so the next startup replays
+		// cutting the WAL down to empty) so the next startup replays
 		// nothing. A crash skips this — that is what the WAL is for.
 		if li := node.Live(); li != nil {
 			if err := li.Flush(); err != nil {

@@ -11,7 +11,7 @@ import (
 // interval — near-real-time serving with no index state on the
 // searcher.
 //
-// The sink journals nothing (LogAdd/LogDelete are no-ops): remote
+// The sink journals nothing (LogAdd/LogDelete/Freeze are no-ops): remote
 // durability is segment-granular, so mutations since the last flush are
 // covered by the local WAL (when a durable store is teed in via
 // live.MultiSink) or simply lost with the process, exactly like a
@@ -30,6 +30,9 @@ func (s *LiveSink) LogAdd(key, title, body string, quality float64) error { retu
 
 // LogDelete is a no-op: the sink persists segments, not mutations.
 func (s *LiveSink) LogDelete(key string) error { return nil }
+
+// Freeze is a no-op: the sink keeps no journal to cut.
+func (s *LiveSink) Freeze(segID uint64) {}
 
 // Commit uploads the commit's full segment set as the next generation.
 // Content addressing makes the common case cheap: a merge that rewrote

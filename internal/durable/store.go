@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -73,10 +74,13 @@ type Store struct {
 	// last written per segment, to skip rewriting unchanged tombstones.
 	persisted map[uint64]bool
 	lastTomb  map[uint64][]byte
+	// marks holds, per pending flush, the active WAL's size when its
+	// memtable froze: the prefix its flush commit may cut.
+	marks map[uint64]int64
 
 	commits     int64
-	rotations   int64
-	walRecords  int64 // records across rotations
+	rotations   int64 // WAL cuts
+	walRecords  int64 // records appended across cuts
 	walSyncs    int64
 	lastErr     error
 	recovery    RecoveryStats
@@ -112,6 +116,7 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 		replaying: true,
 		persisted: make(map[uint64]bool),
 		lastTomb:  make(map[uint64][]byte),
+		marks:     make(map[uint64]int64),
 	}
 	if err := s.fs.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("durable: create %s: %w", dir, err)
@@ -332,6 +337,17 @@ func (s *Store) LogDelete(key string) error {
 	return s.log(Record{Op: OpDelete, Key: key})
 }
 
+// Freeze implements live.Sink: remember where the frozen memtable ends
+// in the active WAL. Replay freezes record nothing, so their commits cut
+// nothing.
+func (s *Store) Freeze(segID uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.replaying && !s.closed {
+		s.marks[segID] = s.wal.Size()
+	}
+}
+
 func (s *Store) log(rec Record) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,11 +367,13 @@ func (s *Store) log(rec Record) error {
 
 // Commit implements live.Sink: persist the post-flush/merge segment
 // set. New segments and changed tombstone bitmaps are written first
-// (each atomically), then the manifest is swapped; only after the swap
-// are dead files deleted and — for flush commits — the WAL rotated.
-// A crash at any point leaves either the old manifest (whose files are
-// all intact, with the still-unrotated WAL re-covering the delta) or
-// the new one.
+// (each atomically); a flush commit whose Freeze left a mark then copies
+// the WAL's bytes past the mark into a fresh log; then the manifest is
+// swapped, and only after the swap are dead files and the old log
+// deleted. A crash at any point leaves either the old manifest (whose
+// files are all intact, with the old WAL re-covering the delta) or the
+// new one. Cutting too little is safe — replay is keyed and idempotent —
+// so a commit without a mark keeps the whole log.
 func (s *Store) Commit(c live.Commit) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -402,21 +420,31 @@ func (s *Store) commitLocked(c live.Commit) error {
 	}
 
 	var newWAL *WAL
-	if c.Rotate {
-		// The fresh log must exist (and be durable) before the manifest
-		// names it; a crash in between only orphans it.
-		next.WAL = walFileName(next.Generation)
-		w, err := CreateWAL(s.fs, s.dir, filepath.Join(s.dir, next.WAL), s.opts.Fsync)
+	mark, cut := s.marks[c.Flushed]
+	if cut {
+		// The fresh log holds the records journaled after the freeze and
+		// must be durable before the manifest names it; a crash in between
+		// only orphans it.
+		data, err := s.fs.ReadFile(filepath.Join(s.dir, s.manifest.WAL))
 		if err != nil {
-			return fmt.Errorf("durable: rotate WAL: %w", err)
+			return fmt.Errorf("durable: read WAL: %w", err)
 		}
-		newWAL = w
+		next.WAL = walFileName(next.Generation)
+		path := filepath.Join(s.dir, next.WAL)
+		tail := data[mark:]
+		if err := WriteFileAtomic(s.fs, path, func(w io.Writer) error { _, err := w.Write(tail); return err }); err != nil {
+			return fmt.Errorf("durable: cut WAL: %w", err)
+		}
+		if newWAL, err = OpenWAL(s.fs, path, int64(len(tail)), s.opts.Fsync); err != nil {
+			return fmt.Errorf("durable: cut WAL: %w", err)
+		}
 	}
 
 	if err := writeManifest(s.fs, s.dir, &next); err != nil {
+		// The swap may have landed before the error (a failed directory
+		// sync), so the fresh log stays; recovery sweeps it if unnamed.
 		if newWAL != nil {
 			newWAL.Close()
-			_ = s.fs.Remove(filepath.Join(s.dir, next.WAL))
 		}
 		return fmt.Errorf("durable: swap manifest: %w", err)
 	}
@@ -446,6 +474,13 @@ func (s *Store) commitLocked(c live.Commit) error {
 		s.wal = newWAL
 		s.rotations++
 		_ = s.fs.Remove(filepath.Join(s.dir, oldWAL))
+		for id, m := range s.marks {
+			if id <= c.Flushed {
+				delete(s.marks, id)
+			} else {
+				s.marks[id] = m - mark
+			}
+		}
 	}
 	return nil
 }
@@ -544,6 +579,10 @@ func OpenIndex(dir string, lcfg live.Config, opts Options) (*live.Index, *Store,
 			_, _ = li.Delete(r.Key)
 		}
 	}
+	// Every recovery of one directory serves the same segments: flushes
+	// frozen during replay splice (their commits are suppressed like the
+	// journaling) before the index is returned.
+	li.WaitFlushes()
 	if err := store.Activate(); err != nil {
 		li.Close()
 		store.Close()

@@ -1,10 +1,12 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -409,6 +411,7 @@ func TestStatsSurfaceDurability(t *testing.T) {
 		k, title, body := testDoc(i, 1)
 		li.Add(k, title, body, 0.5)
 	}
+	li.WaitFlushes() // the two full memtables flush in the background
 	st := li.Stats()
 	if st.Durable == nil {
 		t.Fatal("Stats.Durable is nil for a durable index")
@@ -578,6 +581,11 @@ func TestAddSucceedsWhenFlushCommitFails(t *testing.T) {
 	if err := li.Add(k, title, body, 0.5); err != nil {
 		t.Fatalf("Add whose flush commit failed returned %v; the write is journaled and applied", err)
 	}
+	// The flush runs in the background; Flush waits for it and reports
+	// its commit error.
+	if err := li.Flush(); err == nil || !strings.Contains(err.Error(), "injected rename failure") {
+		t.Errorf("Flush after the failed flush commit returned %v, want the injected rename failure", err)
+	}
 	if store.Err() == nil {
 		t.Error("store did not latch the commit error")
 	}
@@ -595,5 +603,92 @@ func TestAddSucceedsWhenFlushCommitFails(t *testing.T) {
 	}
 	if title, ok := probe(li2, 3); !ok || title != "v1" {
 		t.Errorf("doc 3 after restart: (%q, %v), want v1", title, ok)
+	}
+}
+
+// TestFlushCommitCutsWALAtFreezeMark drives the store's cut protocol
+// directly, with no index and no goroutines: a flush commit drops exactly
+// the log prefix journaled before its Freeze, later marks shift with the
+// cut, and a commit without a mark leaves the log byte-identical.
+func TestFlushCommitCutsWALAtFreezeMark(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Activate(); err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	journal := func(n int) {
+		for i := 0; i < n; i++ {
+			k, title, body := testDoc(len(recs), 1)
+			r := Record{Op: OpAdd, Key: k, Title: title, Body: body, Quality: 0.5}
+			if len(recs)%4 == 3 {
+				r = Record{Op: OpDelete, Key: recs[len(recs)-1].Key}
+				err = store.LogDelete(r.Key)
+			} else {
+				err = store.LogAdd(r.Key, r.Title, r.Body, r.Quality)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, r)
+		}
+	}
+	active := func() []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, store.manifest.WAL))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	commit := func(flushed uint64) {
+		t.Helper()
+		if err := store.Commit(live.Commit{Reason: "flush", NextSegID: 10, Flushed: flushed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantLog := func(want []Record) {
+		t.Helper()
+		if got, _ := replayAll(t, active()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("active WAL holds %d records %v, want %d %v", len(got), got, len(want), want)
+		}
+	}
+
+	journal(7)
+	store.Freeze(3) // the memtable ends after record 7
+	journal(5)
+	store.Freeze(4) // and the next one after record 12
+	journal(4)
+
+	before := active()
+	commit(9) // no mark: cut nothing
+	if after := active(); !bytes.Equal(after, before) {
+		t.Fatalf("a commit without a mark changed the WAL: %d -> %d bytes", len(before), len(after))
+	}
+
+	commit(3)
+	wantLog(recs[7:])
+	commit(4) // its mark moved down with the first cut
+	wantLog(recs[12:])
+	if st := store.SinkStats(); st.Rotations != 2 || st.WALRecords != int64(len(recs)) {
+		t.Errorf("rotations %d, wal records %d; want 2, %d", st.Rotations, st.WALRecords, len(recs))
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	store2, rec, err := Open(dir, Options{Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	if !reflect.DeepEqual(rec.Records, recs[12:]) {
+		t.Fatalf("reopen replays %d records, want the %d journaled after the last freeze", len(rec.Records), len(recs[12:]))
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Errorf("directory holds %d files, want MANIFEST and one WAL", len(ents))
 	}
 }

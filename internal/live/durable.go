@@ -4,13 +4,14 @@ import "websearchbench/internal/index"
 
 // Durability hooks. The live index is storage-agnostic: when
 // Config.Durable is set, every mutation is journaled through the sink
-// before it is acknowledged, and every flush or merge hands the sink a
-// Commit describing the complete post-change segment set so the sink
-// can persist new segments, refresh tombstone bitmaps, swap its
-// manifest, and (after a flush, whose segments capture everything the
-// log held) restart the write-ahead log. internal/durable provides the
-// production implementation; the indirection keeps this package free of
-// filesystem concerns and lets tests drive the hooks directly.
+// before it is acknowledged, every memtable freeze tells the sink where
+// that memtable ends in its journal, and every flush or merge hands the
+// sink a Commit describing the complete post-change segment set so the
+// sink can persist new segments, refresh tombstone bitmaps, swap its
+// manifest, and (after a flush) drop the journal prefix the flushed
+// segment now holds. internal/durable provides the production
+// implementation; the indirection keeps this package free of filesystem
+// concerns and lets tests drive the hooks directly.
 
 // Sink receives durability events from a live index. All methods are
 // invoked under the index's mutation lock, so implementations see a
@@ -21,6 +22,10 @@ type Sink interface {
 	LogAdd(key, title, body string, quality float64) error
 	// LogDelete journals a Delete before it becomes visible.
 	LogDelete(key string) error
+	// Freeze marks the end of the memtable that becomes segment segID:
+	// every mutation journaled so far is held by that segment or by an
+	// earlier one once its flush commits.
+	Freeze(segID uint64)
 	// Commit persists a flush or merge: c lists the full live segment
 	// set after the change.
 	Commit(c Commit) error
@@ -38,10 +43,11 @@ type Commit struct {
 	// NextSegID is the next segment ID the index will allocate; recovery
 	// resumes the sequence from here.
 	NextSegID uint64
-	// Rotate is set on flush commits: every mutation the write-ahead log
-	// holds is now captured by the persisted segments, so the sink may
-	// start a fresh log.
-	Rotate bool
+	// Flushed names the segment whose flush this commit completes (0 on
+	// merge and attach commits): everything journaled before its Freeze
+	// is now in the persisted segments, so the sink may drop that prefix
+	// of its log.
+	Flushed uint64
 }
 
 // CommitSegment is one live segment within a Commit.

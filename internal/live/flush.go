@@ -7,17 +7,16 @@ import (
 	"websearchbench/internal/index"
 )
 
-// Background memtable flushing. For in-memory indexes, a full memtable
-// is frozen under the index lock — an O(docs) bookkeeping step — and the
+// Background memtable flushing, the only flush path. A full memtable is
+// frozen under the index lock — an O(docs) bookkeeping step that also
+// tells a durable sink where the memtable ends in its journal — and the
 // expensive part (replaying the pre-analyzed documents into a Builder
 // and finalizing the segment) runs on a dedicated goroutine with the
 // lock released, so ingest continues into a fresh memtable while the
 // segment is built. Frozen memtables stay fully searchable through the
-// snapshot's extra memViews until their segment splices in.
-//
-// Durable indexes keep the synchronous flush path (see Add): the flush
-// commit rotates the write-ahead log, which requires the persisted
-// segments to cover every journaled mutation at commit time.
+// snapshot's extra memViews until their segment splices in; the flush
+// commit runs at splice time, under the lock, so sinks still see one
+// serialized event stream.
 
 // pendingFlush is one frozen memtable queued for the background flusher.
 // Its segment ID is reserved at freeze time so key references can point
@@ -62,6 +61,9 @@ func (li *Index) freezeMemtableLocked() {
 		tomb: li.memDead,
 	}
 	li.nextSegID++
+	if li.cfg.Durable != nil {
+		li.cfg.Durable.Freeze(pf.id)
+	}
 	for i, key := range m.keys {
 		if r, ok := li.keyRefs[key]; ok && r.segID == 0 && r.local == int32(i) {
 			li.keyRefs[key] = docRef{segID: pf.id, local: int32(i)}
@@ -73,6 +75,17 @@ func (li *Index) freezeMemtableLocked() {
 	li.memPublished = nil
 	li.memDirty = false
 	li.wakeFlusher()
+}
+
+// flushWaitLocked freezes the memtable, waits for every pending flush
+// and publishes; it returns (and clears) the newest flush commit error.
+func (li *Index) flushWaitLocked() error {
+	li.freezeMemtableLocked()
+	li.waitFlushesLocked()
+	li.publishLocked()
+	err := li.flushErr
+	li.flushErr = nil
+	return err
 }
 
 // waitFlushesLocked blocks until the flush queue is empty. Callers hold
@@ -109,11 +122,12 @@ func (li *Index) flushLoop() {
 	}
 }
 
-// buildOneFlush builds and splices the oldest pending flush, reporting
-// whether it did any work. The segment build runs without the index
-// lock: the frozen memtable is immutable (its tombstones advance, but
-// the build filters on the freeze-time baseline and the delta is carried
-// over at splice time).
+// buildOneFlush builds, splices and commits the oldest pending flush,
+// reporting whether it did any work. This is the only place a frozen
+// memtable becomes a segment. The build runs without the index lock:
+// the frozen memtable is immutable (its tombstones advance, but the
+// build filters on the freeze-time baseline and the delta is carried
+// over at splice time). Flushes splice and commit in freeze order.
 func (li *Index) buildOneFlush() bool {
 	li.mu.Lock()
 	if len(li.flushing) == 0 {
@@ -185,6 +199,9 @@ func (li *Index) buildOneFlush() bool {
 		li.segmentsCut++
 	}
 	li.flushes++
+	// The commit persists the full segment set, so its error supersedes
+	// any earlier flush's; the sink also latches it.
+	li.flushErr = li.commitLocked("flush", pf.id)
 	li.publishLocked()
 	li.wakeMerger()
 	li.flushCond.Broadcast()

@@ -29,7 +29,6 @@ type Config struct {
 	// the background flusher before writers stall (default 4). The bound
 	// is the async-flush pipeline's backpressure: without it a writer
 	// outrunning the flusher would accumulate unbounded frozen memtables.
-	// Ignored for durable indexes, which flush synchronously.
 	MaxPendingFlushes int
 	// RefreshEvery publishes a new snapshot every N mutations (default 1,
 	// i.e. every write is immediately searchable). Larger values batch
@@ -152,6 +151,7 @@ type Index struct {
 	merges       int64
 	docsIndexed  int64
 	segmentsCut  int64
+	flushErr     error // newest flush commit's error, until Flush reports it
 	rate         rateMeter
 	closed       bool
 
@@ -273,10 +273,9 @@ func (li *Index) Acquire() *Snapshot {
 // the next merge touching its segment). The key doubles as the
 // document's URL in stored fields. With a durable sink configured, the
 // mutation is journaled before it is applied; a journaling error leaves
-// the index unchanged. An error from the flush commit a full memtable
-// triggers is NOT returned: at that point the document is journaled,
-// applied, and WAL-covered, so the sink latches the error (surfaced via
-// stats and Err) instead of failing a write that actually succeeded.
+// the index unchanged. A full memtable is frozen onto the background
+// flusher; its flush commit's error is latched by the sink and reported
+// by the next Flush, never by the Add that filled the memtable.
 func (li *Index) Add(key, title, body string, quality float64) error {
 	terms := analyze(li.cfg.Analyzer, title, body)
 	snippet := body
@@ -300,24 +299,7 @@ func (li *Index) Add(key, title, body string, quality float64) error {
 	li.docsIndexed++
 	li.rate.tick(timeNowUnix())
 	if len(li.mem.docs) >= li.cfg.MemtableMaxDocs {
-		if li.cfg.Durable != nil {
-			// Durable indexes flush synchronously: the flush commit rotates
-			// the write-ahead log, which is only sound when every journaled
-			// mutation is captured by the persisted segments at commit time
-			// — an async splice would rotate away coverage of writes that
-			// landed after the freeze. A commit failure here is post-apply:
-			// the document was journaled before it was applied and the
-			// un-rotated WAL still covers it, so it is durable and visible.
-			// Like the merge path, latching the error in the sink (it
-			// resurfaces via stats and the next commit retries the persist)
-			// beats reporting failure for a write that succeeded.
-			_ = li.flushLocked()
-		} else {
-			// In-memory indexes hand the full memtable to the background
-			// flusher and keep ingesting: the expensive segment build runs
-			// off-lock while writes land in a fresh memtable.
-			li.freezeMemtableLocked()
-		}
+		li.freezeMemtableLocked()
 	}
 	li.afterMutationLocked()
 	return nil
@@ -407,23 +389,23 @@ func (li *Index) Refresh() uint64 {
 	return li.gen
 }
 
-// Flush forces the memtable into an immutable segment and publishes.
-// With a durable sink, the flush is committed (segments persisted, WAL
-// rotated) before Flush returns; without one, Flush freezes the memtable
-// onto the background flusher and waits for every pending flush to
-// splice in.
+// Flush freezes the memtable onto the background flusher, waits for
+// every pending flush to splice in, and publishes. It returns the error
+// of the newest flush commit that no earlier Flush reported: nil when
+// every flush since then persisted (each flush commit persists the full
+// segment set) or when the index has no sink.
 func (li *Index) Flush() error {
 	li.mu.Lock()
 	defer li.mu.Unlock()
-	if li.cfg.Durable != nil {
-		err := li.flushLocked()
-		li.publishLocked()
-		return err
-	}
-	li.freezeMemtableLocked()
+	return li.flushWaitLocked()
+}
+
+// WaitFlushes blocks until every frozen memtable has spliced in as a
+// segment, without freezing the active one.
+func (li *Index) WaitFlushes() {
+	li.mu.Lock()
 	li.waitFlushesLocked()
-	li.publishLocked()
-	return nil
+	li.mu.Unlock()
 }
 
 // Stats returns a point-in-time summary.
@@ -517,69 +499,14 @@ func (li *Index) afterMutationLocked() {
 	}
 }
 
-// flushLocked freezes the memtable into an immutable segment, skipping
-// documents already tombstoned (cheap reclamation: they never reach a
-// segment), rewires key references, and starts a fresh memtable. The
-// previous memtable object is left untouched for snapshots that still
-// view it. With a durable sink the new segment set is committed and the
-// write-ahead log rotated; a commit error is returned but the in-memory
-// flush stands (the old WAL still covers the unpersisted delta).
-func (li *Index) flushLocked() error {
-	m := li.mem
-	n := len(m.docs)
-	if n == 0 {
-		return nil
-	}
-	if alive := n - li.memDead.Count(); alive > 0 {
-		b := index.NewBuilder(index.WithAnalyzer(li.cfg.Analyzer))
-		keys := make([]string, 0, alive)
-		remap := make([]int32, n)
-		var terms []string
-		var freqs []int32
-		for i := 0; i < n; i++ {
-			if li.memDead.Has(int32(i)) {
-				remap[i] = -1
-				continue
-			}
-			terms, freqs = terms[:0], freqs[:0]
-			for _, tf := range m.docTerms[i] {
-				terms = append(terms, tf.term)
-				freqs = append(freqs, tf.freq)
-			}
-			remap[i] = b.AddPreanalyzed(m.docs[i], terms, freqs)
-			keys = append(keys, m.keys[i])
-		}
-		id := li.nextSegID
-		li.nextSegID++
-		li.segs = append(li.segs, &liveSeg{id: id, seg: b.Finalize(), keys: keys, tomb: NewTombstones()})
-		li.segmentsCut++
-		for i := 0; i < n; i++ {
-			if remap[i] < 0 {
-				continue
-			}
-			if r, ok := li.keyRefs[m.keys[i]]; ok && r.segID == 0 && r.local == int32(i) {
-				li.keyRefs[m.keys[i]] = docRef{segID: id, local: remap[i]}
-			}
-		}
-	}
-	li.mem = newMemtable()
-	li.memDead = NewTombstones()
-	li.memPublished = nil
-	li.memDirty = false
-	li.flushes++
-	li.wakeMerger()
-	return li.commitLocked("flush", true)
-}
-
 // commitLocked hands the durable sink the full post-change segment set.
-// rotate is true for flush commits (the persisted segments now capture
-// everything the WAL held) and false for merges (which reshuffle
-// already-persisted documents without touching the log's coverage).
-func (li *Index) commitLocked(reason string, rotate bool) error {
+// flushed names the segment whose flush this commit completes (0 for
+// merges and attaches, which move no document in or out of the log).
+func (li *Index) commitLocked(reason string, flushed uint64) error {
 	if li.cfg.Durable == nil {
 		return nil
 	}
-	c := Commit{Reason: reason, NextSegID: li.nextSegID, Rotate: rotate}
+	c := Commit{Reason: reason, NextSegID: li.nextSegID, Flushed: flushed}
 	c.Segments = make([]CommitSegment, 0, len(li.segs))
 	for _, ls := range li.segs {
 		cs := CommitSegment{ID: ls.id, Seg: ls.seg}

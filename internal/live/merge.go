@@ -200,11 +200,11 @@ func (li *Index) applyMergeLocked(plan *mergePlan, merged *index.Segment, remaps
 		})
 	}
 	li.merges++
-	// Merge commits never rotate the WAL: they reshuffle documents that
+	// Merge commits never cut the WAL: they reshuffle documents that
 	// durable segments already capture. A commit failure here is latched
 	// by the sink (surfaced via stats) — the pre-merge files remain on
 	// disk and remain sufficient for recovery.
-	_ = li.commitLocked("merge", false)
+	_ = li.commitLocked("merge", 0)
 	if len(li.segs) > li.cfg.MaxSegments {
 		li.wakeMerger()
 	}
@@ -217,14 +217,7 @@ func (li *Index) applyMergeLocked(plan *mergePlan, merged *index.Segment, remaps
 // observed is compacted.
 func (li *Index) Compact() error {
 	li.mu.Lock()
-	var err error
-	if li.cfg.Durable != nil {
-		err = li.flushLocked()
-	} else {
-		li.freezeMemtableLocked()
-		li.waitFlushesLocked()
-	}
-	li.publishLocked()
+	err := li.flushWaitLocked()
 	li.mu.Unlock()
 	if err != nil {
 		return err

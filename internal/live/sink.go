@@ -2,14 +2,14 @@ package live
 
 // PublishCommit re-emits the index's current segment set to the
 // durability sink as a synthetic commit (reason "attach", no WAL
-// rotation). Callers use it after SetDurableSink so a freshly attached
+// cut). Callers use it after SetDurableSink so a freshly attached
 // publisher sees the present state without waiting for the next flush
 // or merge; the memtable's undurable tail is not included, exactly as
 // in any other non-flush commit.
 func (li *Index) PublishCommit() error {
 	li.mu.Lock()
 	defer li.mu.Unlock()
-	return li.commitLocked("attach", false)
+	return li.commitLocked("attach", 0)
 }
 
 // MultiSink tees the durability event stream to several sinks in order
@@ -36,6 +36,13 @@ func (m MultiSink) LogDelete(key string) error {
 		}
 	}
 	return nil
+}
+
+// Freeze forwards the freeze mark to every sink.
+func (m MultiSink) Freeze(segID uint64) {
+	for _, s := range m {
+		s.Freeze(segID)
+	}
 }
 
 // Commit persists to every sink.

@@ -183,7 +183,7 @@ func (s *Searcher) searchPhrases(q Query, res *Result) {
 				}
 			}
 			res.Matches++
-			heap.Offer(Hit{Doc: d, Score: s.docScore(d, score)})
+			heap.Offer(Hit{Doc: d, Score: score})
 		}
 		doc = d + 1
 	}

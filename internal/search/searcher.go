@@ -15,14 +15,8 @@ type Options struct {
 	// benchmark's results-per-page).
 	TopK int
 	// UseMaxScore enables MaxScore dynamic pruning for disjunctive
-	// queries. Pruning is automatically disabled when QualityBoost > 0,
-	// because the static prior breaks the per-term score upper bounds
-	// pruning relies on.
+	// queries.
 	UseMaxScore bool
-	// QualityBoost adds boost*doc.Quality to every matching document's
-	// score, mirroring the crawler-assigned static boosts of the
-	// characterized benchmark. 0 disables it.
-	QualityBoost float64
 	// Analyzer used by ParseAndSearch; defaults to the standard pipeline.
 	Analyzer *textproc.Analyzer
 	// DisableSkips makes iterators ignore their skip tables, falling
@@ -224,7 +218,7 @@ func (s *Searcher) searchInto(q Query, res *Result, k int, shared *ThresholdShar
 		s.postingsInto(it, ti.ID, lz)
 		scorers = append(scorers, termScorer{it: it, idf: idf, ub: ub})
 	}
-	pruned := s.opts.UseMaxScore && s.opts.QualityBoost == 0
+	pruned := s.opts.UseMaxScore
 	if lz != nil {
 		// searchOr consumes every list whole; the strategies that can skip
 		// start from first blocks and read on as they get there.
@@ -295,14 +289,6 @@ func (s *Searcher) alive(doc int32) bool {
 	return s.opts.Deleted == nil || !s.opts.Deleted(doc)
 }
 
-// docScore computes the final score for a doc given its summed term score.
-func (s *Searcher) docScore(doc int32, termScore float64) float64 {
-	if s.opts.QualityBoost != 0 {
-		termScore += s.opts.QualityBoost * float64(s.seg.Quality(doc))
-	}
-	return termScore
-}
-
 // searchOr is the exhaustive document-at-a-time disjunction. It never
 // prunes, but it still publishes its heap floor through pc so pruning
 // searchers over other partitions of the same query can tighten.
@@ -341,7 +327,7 @@ func (s *Searcher) searchOr(scorers []termScorer, heap *TopK, res *Result, pc pr
 		}
 		if s.alive(min) {
 			res.Matches++
-			pc.offer(heap, Hit{Doc: min, Score: s.docScore(min, score)})
+			pc.offer(heap, Hit{Doc: min, Score: score})
 		}
 	}
 }
@@ -394,7 +380,7 @@ func (s *Searcher) searchAnd(scorers []termScorer, heap *TopK, res *Result, pc p
 				score += bm.Score(scorers[i].idf, scorers[i].it.Freq(), dl, avg)
 			}
 			res.Matches++
-			pc.offer(heap, Hit{Doc: doc, Score: s.docScore(doc, score)})
+			pc.offer(heap, Hit{Doc: doc, Score: score})
 		}
 	}
 }

@@ -136,21 +136,6 @@ func TestTopKLimit(t *testing.T) {
 	}
 }
 
-func TestQualityBoost(t *testing.T) {
-	// Docs 0 and 3 both match "search services"? Use term "web": doc 0
-	// (q=0.9), doc 2 (q=0.5), doc 3 (q=0.8). A huge boost reorders by
-	// quality.
-	s := newTestSearcher(t, Options{TopK: 3, QualityBoost: 100})
-	res := s.ParseAndSearch("web", ModeOr)
-	got := docsOf(res.Hits)
-	want := []int32{0, 3, 2} // descending quality
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("boosted order = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestPhaseTimingsPopulated(t *testing.T) {
 	s := newTestSearcher(t, Options{TopK: 10})
 	res := s.ParseAndSearch("web search engines", ModeOr)

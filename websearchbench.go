@@ -22,7 +22,6 @@ import (
 	"websearchbench/internal/partition"
 	"websearchbench/internal/qcache"
 	"websearchbench/internal/search"
-	"websearchbench/internal/search/exec"
 	"websearchbench/internal/textproc"
 )
 
@@ -39,16 +38,6 @@ type Config struct {
 	// Parallel searches partitions (or, with Live, segments) with
 	// concurrent workers on the process-wide bounded search executor.
 	Parallel bool
-	// ExecWorkers resizes the process-wide search executor that Parallel
-	// engines share (default GOMAXPROCS). It is a process-level knob:
-	// setting it on one engine affects every parallel searcher in the
-	// process.
-	ExecWorkers int
-	// IndependentPruning disables cross-partition threshold sharing, so
-	// every partition prunes against only its local top-k heap — the
-	// pre-sharing behavior, kept for measurement. Results are identical
-	// either way; sharing only reduces postings scanned.
-	IndependentPruning bool
 	// TopK is the number of results per query (default 10).
 	TopK int
 	// GlobalStats enables distributed-IDF scoring so results are
@@ -136,9 +125,6 @@ func New(cfg Config) (*Engine, error) {
 	ccfg.NumDocs = cfg.Docs
 	ccfg.VocabSize = cfg.VocabSize
 	ccfg.Seed = cfg.Seed
-	if cfg.ExecWorkers > 0 {
-		exec.SetDefaultWorkers(cfg.ExecWorkers)
-	}
 	e := &Engine{cfg: cfg, mode: search.ModeOr, analyzer: textproc.NewAnalyzer()}
 	if cfg.Conjunctive {
 		e.mode = search.ModeAnd
@@ -165,7 +151,6 @@ func New(cfg Config) (*Engine, error) {
 		opts.Stats = partition.GlobalStats(idx)
 	}
 	sr := partition.NewSearcher(idx, opts, cfg.Parallel)
-	sr.SetSharedPruning(!cfg.IndependentPruning)
 	e.idx = idx
 	e.acquire = func() (*partition.Searcher, uint64) { return sr, 0 }
 	return e, nil
