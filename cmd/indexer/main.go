@@ -5,19 +5,13 @@
 //
 //	indexer -docs 20000 -vocab 30000 -out index.seg -trace queries.txt
 //
-// Builds run through the parallel indexing pipeline: -workers analyze/
-// build workers (default all CPUs) consume the streamed corpus, cutting
-// segments every -segment-docs documents while a background tier merges
-// them, and the result is compacted to a single segment. Output is
-// byte-identical for any worker count; -workers 1 with the default
-// -segment-docs is the plain single-builder path. Progress (docs/s,
-// MB/s) is reported every few seconds on stderr.
-//
-// With -live the corpus is streamed through the near-real-time ingest
-// path (memtable, flushes, tiered merges) and compacted to a single
-// segment before serialization — exercising exactly the machinery a
-// live searchd node runs, and proving the two paths produce equivalent
-// on-disk indexes. Live segments carry no positions.
+// Builds run through the parallel indexing pipeline: the corpus is
+// streamed into -workers build workers (default all CPUs), each building
+// whole chunks of -segment-docs documents, and the chunks are merged once
+// into a single segment. Output is byte-identical for any worker count
+// and chunk size; -workers 1 with the default -segment-docs streams the
+// corpus into one builder and merges nothing. Progress (docs/s, MB/s) is
+// reported every few seconds on stderr.
 //
 // With -publish the finished segment is also uploaded to a blob store
 // (a blobd URL or a shared directory) and committed as a manifest
@@ -38,14 +32,12 @@ import (
 	"websearchbench/internal/blob"
 	"websearchbench/internal/corpus"
 	"websearchbench/internal/durable"
-	"websearchbench/internal/index"
 	"websearchbench/internal/index/pipeline"
-	"websearchbench/internal/live"
 	"websearchbench/internal/workload"
 )
 
 // startProgress launches a ticker that reports build progress (docs/s,
-// MB/s, elapsed, merge backlog) on stderr until the returned stop
+// MB/s, elapsed) on stderr until the returned stop
 // function is called. A zero interval disables reporting.
 func startProgress(p *pipeline.Pipeline, every time.Duration) (stop func()) {
 	if every <= 0 {
@@ -65,11 +57,11 @@ func startProgress(p *pipeline.Pipeline, every time.Duration) (stop func()) {
 			case <-t.C:
 			}
 			st := p.Stats()
-			log.Printf("progress: %d docs (%.0f docs/s, %.1f MB/s), %d segments cut, %d merges, backlog %d, %.1fs elapsed",
+			log.Printf("progress: %d docs (%.0f docs/s, %.1f MB/s), %d segments cut, %.1fs elapsed",
 				st.DocsIndexed,
 				float64(st.DocsIndexed-lastDocs)/every.Seconds(),
 				float64(st.BytesIndexed-lastBytes)/every.Seconds()/(1<<20),
-				st.SegmentsCut, st.Merges, st.MergeBacklog, st.Elapsed.Seconds())
+				st.SegmentsCut, st.Elapsed.Seconds())
 			lastDocs, lastBytes = st.DocsIndexed, st.BytesIndexed
 		}
 	}()
@@ -88,15 +80,14 @@ func main() {
 		vocab    = flag.Int("vocab", 30000, "vocabulary size")
 		meanLen  = flag.Int("meanlen", 250, "mean document length in terms")
 		seed     = flag.Int64("seed", 1, "corpus seed")
-		liveMode = flag.Bool("live", false, "build through the live-ingest path, then compact")
 		out      = flag.String("out", "index.seg", "output segment file")
 		publish  = flag.String("publish", "", "also publish the segment to this blob store (blobd URL or directory)")
 		trace    = flag.String("trace", "", "also write a query trace to this file")
 		timed    = flag.String("timed", "", "also write a timed (replayable) trace to this file")
 		rate     = flag.Float64("rate", 100, "arrival rate for the timed trace (qps)")
 		queries  = flag.Int("queries", 10000, "queries to write to the trace")
-		workers  = flag.Int("workers", runtime.NumCPU(), "parallel analyze/build workers (1 = serial single-builder path)")
-		segDocs  = flag.Int("segment-docs", 0, "documents per intermediate segment (0 = auto; ignored with -workers 1)")
+		workers  = flag.Int("workers", runtime.NumCPU(), "parallel build workers")
+		segDocs  = flag.Int("segment-docs", 0, "documents per chunk (0 = one chunk at -workers 1, else 2048)")
 		progress = flag.Duration("progress", 3*time.Second, "progress report interval (0 disables)")
 	)
 	flag.Parse()
@@ -107,64 +98,27 @@ func main() {
 	cfg.MeanBodyTerms = *meanLen
 	cfg.Seed = *seed
 
-	var seg *index.Segment
-	if *liveMode {
-		gen, err := corpus.NewGenerator(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		li := live.NewIndex(live.Config{RefreshEvery: 1 << 30})
-		gen.GenerateFunc(func(d corpus.Document) {
-			if err := li.Add(d.URL, d.Title, d.Body, d.Quality); err != nil {
-				log.Fatal(err)
-			}
-		})
-		if err := li.Compact(); err != nil {
-			log.Fatal(err)
-		}
-		seg = li.Segment()
-		li.Close()
-		if seg == nil {
-			log.Fatal("live compaction did not converge to a single segment")
-		}
-	} else {
-		gen, err := corpus.NewGenerator(cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		p := pipeline.New(pipeline.Config{
-			Workers:     *workers,
-			SegmentDocs: *segDocs,
-			Compact:     true,
-		})
-		stopProgress := startProgress(p, *progress)
-		// Stream generated documents through a bounded channel: generation
-		// runs concurrently with indexing and blocks when the workers fall
-		// behind (backpressure), instead of materializing the corpus.
-		ch := make(chan pipeline.Doc, 4*p.Config().Workers)
-		go func() {
-			defer close(ch)
-			gen.GenerateFunc(func(d corpus.Document) {
-				ch <- pipeline.Doc{Title: d.Title, Body: d.Body, URL: d.URL, Quality: d.Quality}
-			})
-		}()
-		res, err := p.Run(pipeline.FromChan(ch))
-		stopProgress()
-		if err != nil {
-			log.Fatal(err)
-		}
-		seg = res.Segments[0]
-		st := p.Stats()
-		log.Printf("built %d docs in %.2fs (%.0f docs/s, %.1f MB/s): %d segments cut, %d merges, first searchable after %.2fs",
-			res.Docs, res.Elapsed.Seconds(),
-			float64(res.Docs)/res.Elapsed.Seconds(),
-			float64(res.Bytes)/res.Elapsed.Seconds()/(1<<20),
-			st.SegmentsCut, st.Merges, res.TimeToFirstSegment.Seconds())
+	gen, err := corpus.NewGenerator(cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
+	p := pipeline.New(pipeline.Config{Workers: *workers, SegmentDocs: *segDocs})
+	stopProgress := startProgress(p, *progress)
+	seg, err := p.Run(gen.GenerateFunc)
+	stopProgress()
+	if err != nil {
+		log.Fatal(err)
+	}
+	bs := p.Stats()
+	log.Printf("built %d docs in %.2fs (%.0f docs/s, %.1f MB/s): %d segments cut",
+		bs.DocsIndexed, bs.Elapsed.Seconds(),
+		float64(bs.DocsIndexed)/bs.Elapsed.Seconds(),
+		float64(bs.BytesIndexed)/bs.Elapsed.Seconds()/(1<<20),
+		bs.SegmentsCut)
 	// Write-temp-fsync-rename so a crashed or interrupted indexer never
 	// leaves a half-written file under the output name.
 	var n int64
-	err := durable.WriteFileAtomic(durable.NewOSFS(), *out, func(w io.Writer) error {
+	err = durable.WriteFileAtomic(durable.NewOSFS(), *out, func(w io.Writer) error {
 		var werr error
 		n, werr = seg.WriteTo(w)
 		return werr

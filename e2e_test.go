@@ -1,8 +1,8 @@
 package websearchbench
 
 // End-to-end integration tests across subsystem boundaries: the flows a
-// downstream user strings together (index to disk and back, incremental
-// writing, trace replay against a live HTTP cluster).
+// downstream user strings together (index to disk and back, parallel
+// building, trace replay against a live HTTP cluster).
 
 import (
 	"math/rand"
@@ -15,6 +15,7 @@ import (
 	"websearchbench/internal/cluster"
 	"websearchbench/internal/corpus"
 	"websearchbench/internal/index"
+	"websearchbench/internal/index/pipeline"
 	"websearchbench/internal/loadgen"
 	"websearchbench/internal/partition"
 	"websearchbench/internal/search"
@@ -76,22 +77,19 @@ func TestE2EIndexFileRoundTrip(t *testing.T) {
 	}
 }
 
-// Incremental writing + compaction yields the same search results as a
-// one-shot build.
+// A parallel chunked build, merged once, yields the same search results
+// as a one-shot build.
 func TestE2EIncrementalIndexing(t *testing.T) {
 	cfg := smallCorpusCfg()
+	direct, err := index.BuildFromCorpus(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gen, err := corpus.NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := index.NewBuilder()
-	w := index.NewWriter(64)
-	gen.GenerateFunc(func(d corpus.Document) {
-		one.AddCorpusDoc(d)
-		w.AddDocument(d.Title, d.Body, d.URL, d.Quality)
-	})
-	direct := one.Finalize()
-	merged, err := w.Compact()
+	merged, err := pipeline.New(pipeline.Config{Workers: 2, SegmentDocs: 64}).Run(gen.GenerateFunc)
 	if err != nil {
 		t.Fatal(err)
 	}

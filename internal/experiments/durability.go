@@ -146,6 +146,9 @@ func (c *Context) runDurableIngest(name string, fsync durable.FsyncPolicy, memOn
 		}
 	}
 	elapsed := time.Since(start)
+	// Every flush the ingest froze has committed (and cut the WAL) before
+	// the reading, so flushes and WAL bytes are a function of the input.
+	li.WaitFlushes()
 	st := li.Stats()
 	row.Ingest = float64(len(docs)) / elapsed.Seconds()
 	row.Flushes = st.Flushes

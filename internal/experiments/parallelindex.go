@@ -16,17 +16,11 @@ import (
 // E23Row is one worker-count configuration of the parallel indexing
 // pipeline, measured over a full build of the experiment corpus.
 type E23Row struct {
-	Workers    int
-	DocsPerSec float64
-	MBPerSec   float64
-	// TimeToSearchable is how long after the build started the first
-	// segment was finalized — the pipeline's incremental-availability
-	// advantage over a single-shot build, whose first (and only) segment
-	// arrives at the very end.
-	TimeToSearchable time.Duration
-	Elapsed          time.Duration
-	SegmentsCut      int64
-	Merges           int64
+	Workers     int
+	DocsPerSec  float64
+	MBPerSec    float64
+	Elapsed     time.Duration
+	SegmentsCut int64
 }
 
 // E23Result is the parallel-indexing experiment: the worker sweep plus
@@ -45,8 +39,8 @@ type E23Result struct {
 
 // E23ParallelIndexing measures the parallel indexing pipeline: build
 // throughput (docs/s, MB/s) versus worker count over the streamed
-// corpus, time-to-first-searchable-segment, and the query-latency
-// interference a background rebuild inflicts on a serving searcher pool.
+// corpus, and the query-latency interference a background rebuild
+// inflicts on a serving searcher pool.
 // Every configuration produces byte-identical output (the pipeline's
 // determinism contract), so the sweep varies only cost, not results.
 func (c *Context) E23ParallelIndexing() E23Result {
@@ -70,32 +64,23 @@ func (c *Context) E23ParallelIndexing() E23Result {
 
 	res := E23Result{Docs: len(docs), SegmentDocs: segDocs}
 	for _, workers := range []int{1, 2, 4, 8} {
-		p := pipeline.New(pipeline.Config{
-			Workers:     workers,
-			SegmentDocs: segDocs,
-			Compact:     true,
-		})
-		out, err := p.Run(pipeline.FromDocs(docs))
-		if err != nil {
+		p := pipeline.New(pipeline.Config{Workers: workers, SegmentDocs: segDocs})
+		if _, err := p.Run(streamDocs(docs)); err != nil {
 			panic(fmt.Sprintf("experiments: pipeline build failed: %v", err))
 		}
 		st := p.Stats()
 		row := E23Row{
-			Workers:          workers,
-			DocsPerSec:       float64(out.Docs) / out.Elapsed.Seconds(),
-			MBPerSec:         float64(out.Bytes) / out.Elapsed.Seconds() / (1 << 20),
-			TimeToSearchable: out.TimeToFirstSegment,
-			Elapsed:          out.Elapsed,
-			SegmentsCut:      st.SegmentsCut,
-			Merges:           st.Merges,
+			Workers:     workers,
+			DocsPerSec:  float64(st.DocsIndexed) / st.Elapsed.Seconds(),
+			MBPerSec:    float64(st.BytesIndexed) / st.Elapsed.Seconds() / (1 << 20),
+			Elapsed:     st.Elapsed,
+			SegmentsCut: st.SegmentsCut,
 		}
 		res.Rows = append(res.Rows, row)
 		name := fmt.Sprintf("w%d", workers)
 		c.record("E23", name, "docs_per_sec", row.DocsPerSec)
 		c.record("E23", name, "mb_per_sec", row.MBPerSec)
-		c.record("E23", name, "time_to_searchable_ns", float64(row.TimeToSearchable))
 		c.record("E23", name, "segments_cut", float64(row.SegmentsCut))
-		c.record("E23", name, "merges", float64(row.Merges))
 	}
 
 	c.measureRebuildInterference(docs, segDocs, &res)
@@ -105,14 +90,13 @@ func (c *Context) E23ParallelIndexing() E23Result {
 	c.record("E23", "interference", "rebuild_qps", res.RebuildQPS)
 
 	c.section("E23", "parallel indexing pipeline: throughput vs workers, rebuild interference")
-	fmt.Fprintf(c.Out, "%d docs, %d docs/segment; identical output bytes at every worker count\n",
+	fmt.Fprintf(c.Out, "%d docs, %d docs/segment, merged once; identical output bytes at every worker count\n",
 		res.Docs, res.SegmentDocs)
 	w := c.table()
-	fmt.Fprintf(w, "workers\tdocs/s\tMB/s\tfirst-searchable\telapsed\tsegs\tmerges\n")
+	fmt.Fprintf(w, "workers\tdocs/s\tMB/s\telapsed\tsegs\n")
 	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%d\t%.0f\t%.1f\t%s\t%s\t%d\t%d\n",
-			r.Workers, r.DocsPerSec, r.MBPerSec, ms(r.TimeToSearchable), ms(r.Elapsed),
-			r.SegmentsCut, r.Merges)
+		fmt.Fprintf(w, "%d\t%.0f\t%.1f\t%s\t%d\n",
+			r.Workers, r.DocsPerSec, r.MBPerSec, ms(r.Elapsed), r.SegmentsCut)
 	}
 	w.Flush()
 	w = c.table()
@@ -189,8 +173,8 @@ func (c *Context) measureRebuildInterference(docs []corpus.Document, segDocs int
 				return
 			default:
 			}
-			p := pipeline.New(pipeline.Config{SegmentDocs: segDocs, Compact: true})
-			if _, err := p.Run(pipeline.FromDocs(docs)); err != nil {
+			p := pipeline.New(pipeline.Config{SegmentDocs: segDocs})
+			if _, err := p.Run(streamDocs(docs)); err != nil {
 				panic(fmt.Sprintf("experiments: rebuild failed: %v", err))
 			}
 		}
@@ -198,4 +182,14 @@ func (c *Context) measureRebuildInterference(docs []corpus.Document, segDocs int
 	res.RebuildP50, res.RebuildP99, res.RebuildQPS = measure()
 	close(stop)
 	rebuilds.Wait()
+}
+
+// streamDocs yields an already-generated corpus in order, keeping
+// generation cost out of the build measurement.
+func streamDocs(docs []corpus.Document) func(func(corpus.Document)) {
+	return func(yield func(corpus.Document)) {
+		for _, d := range docs {
+			yield(d)
+		}
+	}
 }

@@ -275,3 +275,47 @@ func TestComputeStats(t *testing.T) {
 		t.Errorf("DocLenMax = %d, want 7", st.DocLenMax)
 	}
 }
+
+// AddPreanalyzed must produce the same segment as AddDocument for a
+// document whose analyzed term frequencies are replayed.
+func TestAddPreanalyzedEqualsAddDocument(t *testing.T) {
+	docs := corpusDocs(t, 60)
+	direct := NewBuilder()
+	replayed := NewBuilder()
+	for _, d := range docs {
+		direct.AddCorpusDoc(d)
+	}
+	want := direct.Finalize()
+	// Replay each document's term stats out of the finished segment's
+	// postings: per-doc (term, freq) pairs in sorted term order.
+	type tf struct {
+		term string
+		freq int32
+	}
+	perDoc := make([][]tf, want.NumDocs())
+	for _, term := range want.Terms() {
+		it, _ := want.Postings(term)
+		for it.Next() {
+			perDoc[it.Doc()] = append(perDoc[it.Doc()], tf{term, it.Freq()})
+		}
+	}
+	for d := 0; d < want.NumDocs(); d++ {
+		terms := make([]string, len(perDoc[d]))
+		freqs := make([]int32, len(perDoc[d]))
+		for i, p := range perDoc[d] {
+			terms[i] = p.term // Terms() iterates sorted, so pairs arrive sorted
+			freqs[i] = p.freq
+		}
+		replayed.AddPreanalyzed(want.Doc(int32(d)), terms, freqs)
+	}
+	segmentsEqual(t, replayed.Finalize(), want)
+}
+
+func TestAddPreanalyzedPositionalPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("AddPreanalyzed on a positional builder should panic")
+		}
+	}()
+	NewBuilder(WithPositions()).AddPreanalyzed(StoredDoc{}, []string{"a"}, []int32{1})
+}

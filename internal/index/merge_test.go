@@ -71,8 +71,9 @@ func corpusDocs(t *testing.T, n int) []corpus.Document {
 	return gen.Generate()
 }
 
-// The central merge invariant: flushing into many segments and merging
-// yields exactly the segment a single builder would have produced.
+// The central merge invariant: building consecutive chunks of a stream
+// and merging them yields exactly the segment a single builder would
+// have produced.
 func TestMergeEqualsSingleBuild(t *testing.T) {
 	docs := corpusDocs(t, 150)
 	for _, opts := range [][]BuilderOption{
@@ -80,13 +81,17 @@ func TestMergeEqualsSingleBuild(t *testing.T) {
 		{WithPositions()},
 	} {
 		single := NewBuilder(opts...)
-		w := NewWriter(40, opts...) // uneven final flush: 150 = 3*40 + 30
-		for _, d := range docs {
-			single.AddCorpusDoc(d)
-			w.AddDocument(d.Title, d.Body, d.URL, d.Quality)
+		var chunks []*Segment
+		for lo := 0; lo < len(docs); lo += 40 { // uneven last chunk: 150 = 3*40 + 30
+			b := NewBuilder(opts...)
+			for _, d := range docs[lo:min(lo+40, len(docs))] {
+				single.AddCorpusDoc(d)
+				b.AddCorpusDoc(d)
+			}
+			chunks = append(chunks, b.Finalize())
 		}
 		want := single.Finalize()
-		merged, err := w.Compact()
+		merged, err := MergeSegments(chunks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,58 +291,5 @@ func TestMergeFilteredPositional(t *testing.T) {
 	}
 	if it.Next() {
 		t.Error("extra alpha posting")
-	}
-}
-
-func TestWriterLifecycle(t *testing.T) {
-	w := NewWriter(10)
-	if w.NumSegments() != 0 || w.NumDocs() != 0 {
-		t.Fatal("fresh writer not empty")
-	}
-	docs := corpusDocs(t, 25)
-	for i, d := range docs {
-		if id := w.AddDocument(d.Title, d.Body, d.URL, d.Quality); id != int32(i) {
-			t.Fatalf("doc %d got id %d", i, id)
-		}
-	}
-	// 25 docs at flushEvery=10: two full flushes, 5 buffered.
-	if w.NumSegments() != 2 {
-		t.Errorf("NumSegments = %d, want 2", w.NumSegments())
-	}
-	segs := w.Segments() // flushes the remainder
-	if len(segs) != 3 {
-		t.Fatalf("Segments = %d, want 3", len(segs))
-	}
-	if segs[0].NumDocs() != 10 || segs[2].NumDocs() != 5 {
-		t.Errorf("segment sizes = %d,%d,%d", segs[0].NumDocs(), segs[1].NumDocs(), segs[2].NumDocs())
-	}
-	// Double flush is a no-op.
-	w.Flush()
-	if w.NumSegments() != 3 {
-		t.Errorf("extra flush created a segment")
-	}
-	merged, err := w.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.NumDocs() != 25 {
-		t.Errorf("merged docs = %d", merged.NumDocs())
-	}
-	if w.NumSegments() != 1 {
-		t.Errorf("post-compact segments = %d", w.NumSegments())
-	}
-}
-
-func TestWriterEmptyCompact(t *testing.T) {
-	if _, err := NewWriter(5).Compact(); err == nil {
-		t.Error("empty writer Compact should fail")
-	}
-}
-
-func TestWriterFlushEveryClamped(t *testing.T) {
-	w := NewWriter(0)
-	w.AddDocument("t", "a b", "u", 1)
-	if w.NumSegments() != 1 {
-		t.Error("flushEvery=0 should clamp to 1 (flush per doc)")
 	}
 }

@@ -69,16 +69,23 @@ func phraseGoldenRows(t *testing.T) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := index.NewWriter(cfg.NumDocs/4, index.WithPositions())
 	gen, err := corpus.NewGenerator(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen.GenerateFunc(func(d corpus.Document) { w.AddDocument(d.Title, d.Body, d.URL, d.Quality) })
-	if w.NumSegments() != 4 {
-		t.Fatalf("writer cut %d segments, want 4", w.NumSegments())
+	var quarters []*index.Segment
+	b := index.NewBuilder(index.WithPositions())
+	gen.GenerateFunc(func(d corpus.Document) {
+		b.AddCorpusDoc(d)
+		if b.NumDocs() == cfg.NumDocs/4 {
+			quarters = append(quarters, b.Finalize())
+			b = index.NewBuilder(index.WithPositions())
+		}
+	})
+	if len(quarters) != 4 || b.NumDocs() != 0 {
+		t.Fatalf("cut %d quarters with %d documents left over, want 4 and 0", len(quarters), b.NumDocs())
 	}
-	merged, err := w.Compact()
+	merged, err := index.MergeSegments(quarters)
 	if err != nil {
 		t.Fatal(err)
 	}
