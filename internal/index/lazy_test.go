@@ -12,10 +12,11 @@ import (
 	"websearchbench/internal/textproc"
 )
 
-// The evaluation strategies copy iterators by value on the resident hot
-// path, so the lazy read path keeps its state (held blocks, read-ahead
-// window) in the list the iterator points to and never in the iterator,
-// whose size is pinned here.
+// Queries build their iterators in place, one per term in a pooled
+// array, so every byte of an iterator is memory each query term holds
+// and walks over. The lazy read path keeps its state (held blocks,
+// read-ahead window) in the list the iterator points to and never in
+// the iterator, whose size is pinned here.
 var _ [640]byte = [unsafe.Sizeof(PostingsIterator{})]byte{}
 
 // randomListsSegment builds a segment whose lists have the given

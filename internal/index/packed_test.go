@@ -2,10 +2,99 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"websearchbench/internal/textproc"
 )
+
+// scalarUnpack is the byte-at-a-time decoder the width kernels replaced,
+// kept as their reference: len(dst) width-bit values from src, or -1 if
+// src is too short or the width is implausible.
+func scalarUnpack(dst []int32, src []byte, width uint8) int {
+	if width == 0 {
+		clear(dst)
+		return 0
+	}
+	if width > maxPackedWidth {
+		return -1
+	}
+	need := (len(dst)*int(width) + 7) / 8
+	if len(src) < need {
+		return -1
+	}
+	var acc uint64
+	var nbits uint
+	off := 0
+	for i := range dst {
+		for nbits < uint(width) {
+			acc |= uint64(src[off]) << nbits
+			off++
+			nbits += 8
+		}
+		dst[i] = int32(acc & (1<<width - 1))
+		acc >>= width
+		nbits -= uint(width)
+	}
+	return need
+}
+
+// FuzzUnpack checks unpackInto at every width against appendPacked and
+// the scalar reference: 63 values (a doc-gap section) or 64 (a frequency
+// section) drawn from data, unpacked from a src exactly as long as the
+// packed values, from one with trailing bytes (where every group goes
+// through a kernel), and from shorter ones, which must fail with -1.
+// Widths 32–39 must fail too.
+func FuzzUnpack(f *testing.F) {
+	for w := 0; w < 40; w++ {
+		data := make([]byte, 4*64+8)
+		rand.New(rand.NewSource(int64(w))).Read(data)
+		f.Add(data, uint8(w), w%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, width uint8, full bool) {
+		width %= 40
+		n := 63
+		if full {
+			n = 64
+		}
+		vals := make([]int32, n)
+		for i := range vals {
+			var word [4]byte
+			copy(word[:], data[min(4*i, len(data)):])
+			vals[i] = int32(uint64(binary.LittleEndian.Uint32(word[:])) & (1<<min(width, 32) - 1))
+		}
+		packed := appendPacked(nil, vals, min(width, maxPackedWidth))
+		if width <= maxPackedWidth && len(packed) != (n*int(width)+7)/8 {
+			t.Fatalf("width %d: appendPacked wrote %d bytes for %d values", width, len(packed), n)
+		}
+		srcs := [][]byte{packed, append(append([]byte(nil), packed...), data...)}
+		for cut := len(packed) - 1; cut >= 0 && cut >= len(packed)-9; cut-- {
+			srcs = append(srcs, packed[:cut])
+		}
+		for _, src := range srcs {
+			got, want := make([]int32, n), make([]int32, n)
+			for i := range got {
+				got[i], want[i] = -1, -1 // width 0 must clear
+			}
+			used, wantUsed := unpackInto(got, src, width), scalarUnpack(want, src, width)
+			if used != wantUsed {
+				t.Fatalf("width %d, %d values, src %d bytes: used %d, reference %d", width, n, len(src), used, wantUsed)
+			}
+			if used < 0 {
+				if width <= maxPackedWidth && len(src) >= len(packed) {
+					t.Fatalf("width %d: unpacking %d values from %d bytes failed", width, n, len(src))
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, vals) {
+				t.Fatalf("width %d, src %d bytes: unpacked %v, reference %v, packed %v", width, len(src), got, want, vals)
+			}
+		}
+	})
+}
 
 // TestPackedBlockBoundaries round-trips lists whose lengths straddle the
 // packed block size: all-tail, exactly one block, block+1, and multiple
@@ -162,6 +251,137 @@ func TestMergePackedMixedFormats(t *testing.T) {
 	segmentsEquivalent(t, single, merged)
 	if !reflect.DeepEqual(single.blockMaxes, merged.blockMaxes) {
 		t.Fatal("merged block maxima differ from a single-shot build")
+	}
+}
+
+// TestDecodePathsMatchPostings: every posting of every list of a random
+// segment, held resident and opened lazily, plain and positional, reads
+// as the postings the segment was built from through each way of moving
+// an iterator — Next, SkipTo, Run and the positions iterator — whether
+// its frequency is asked at every posting, at some, or only after the
+// iterator has moved on past blocks whose frequencies were never decoded.
+func TestDecodePathsMatchPostings(t *testing.T) {
+	const docs = 2000
+	dfs := []int{1, 63, 64, 65, 128, 129, 300, 1000, docs}
+	build := func(opts ...BuilderOption) (*Segment, [][]posting) {
+		return randomListsSegment(rand.New(rand.NewSource(41)), docs, dfs, opts...)
+	}
+	plain, refs := build()
+	positional, _ := build(WithPositions(), WithAnalyzer(&textproc.Analyzer{DisableStemming: true}))
+	segs := map[string]*Segment{"resident": plain, "positional": positional}
+	for name, s := range map[string]*Segment{"lazy": plain, "lazy-positional": positional} {
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		segs[name], _ = lazyFromBytes(t, buf.Bytes())
+	}
+	rng := rand.New(rand.NewSource(43))
+	for name, s := range segs {
+		for l, ref := range refs {
+			id := int32(l)
+			for _, freqEvery := range []int{1, 3, 200} {
+				ask := func() bool { return rng.Intn(freqEvery) == 0 }
+				check := func(how string, it *PostingsIterator, i int) {
+					t.Helper()
+					if it.Doc() != ref[i].doc {
+						t.Fatalf("%s list %d %s: posting %d is doc %d, want %d", name, l, how, i, it.Doc(), ref[i].doc)
+					}
+					if ask() && it.Freq() != ref[i].freq {
+						t.Fatalf("%s list %d %s: posting %d (doc %d) has freq %d, want %d", name, l, how, i, ref[i].doc, it.Freq(), ref[i].freq)
+					}
+				}
+
+				it := s.PostingsByID(id)
+				for i := range ref {
+					if !it.Next() {
+						t.Fatalf("%s list %d Next: ends at posting %d of %d", name, l, i, len(ref))
+					}
+					check("Next", &it, i)
+				}
+				if it.Next() {
+					t.Fatalf("%s list %d Next: postings past the end", name, l)
+				}
+
+				it = s.PostingsByID(id)
+				for i := 0; i < len(ref); i += 1 + rng.Intn(150) {
+					if !it.SkipTo(ref[i].doc) {
+						t.Fatalf("%s list %d SkipTo(%d): false", name, l, ref[i].doc)
+					}
+					check("SkipTo", &it, i)
+				}
+
+				it = s.PostingsByID(id)
+				for i := 0; it.Next(); i++ {
+					if rng.Intn(2) == 0 {
+						check("Next", &it, i)
+						continue
+					}
+					docs, freqs := it.Run(ref[i].doc + 1 + int32(rng.Intn(200)))
+					for j := range docs {
+						if docs[j] != ref[i+j].doc || freqs[j] != ref[i+j].freq {
+							t.Fatalf("%s list %d Run: posting %d is (%d,%d), want (%d,%d)", name, l, i+j, docs[j], freqs[j], ref[i+j].doc, ref[i+j].freq)
+						}
+					}
+					i += len(docs) - 1
+				}
+
+				if !s.HasPositions() {
+					continue
+				}
+				p := s.positionsByID(id)
+				for i := range ref {
+					if !p.Next() {
+						t.Fatalf("%s list %d positions: ends at posting %d of %d", name, l, i, len(ref))
+					}
+					check("positions", &p.it, i)
+					if got := p.Positions(); len(got) != int(ref[i].freq) {
+						t.Fatalf("%s list %d positions: posting %d has %d positions, want %d", name, l, i, len(got), ref[i].freq)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSkipToLeavesFrequenciesUndecoded: a SkipTo that lands in a full
+// block leaves its frequency section packed until Freq asks, and the
+// first Freq decodes it once for the whole block.
+func TestSkipToLeavesFrequenciesUndecoded(t *testing.T) {
+	ps := make([]posting, 4*packedBlockLen)
+	for i := range ps {
+		ps[i] = posting{doc: int32(3 * i), freq: int32(1 + i%11)}
+	}
+	it := encodeAll(ps)
+	for i := range it.bFreqs {
+		it.bFreqs[i] = -1
+	}
+	target := ps[2*packedBlockLen+5].doc
+	if !it.Next() || !it.SkipTo(target) || it.Doc() != target {
+		t.Fatalf("SkipTo(%d) landed on %d", target, it.Doc())
+	}
+	if !it.freqsPending {
+		t.Fatal("SkipTo decoded the landing block's frequencies")
+	}
+	for _, f := range it.bFreqs {
+		if f != -1 {
+			t.Fatalf("frequencies written before any Freq: %v", it.bFreqs)
+		}
+	}
+	if got := it.Freq(); got != ps[2*packedBlockLen+5].freq {
+		t.Fatalf("Freq = %d, want %d", got, ps[2*packedBlockLen+5].freq)
+	}
+	if it.freqsPending {
+		t.Fatal("Freq left the block's frequencies pending")
+	}
+	it.bFreqs[packedBlockLen-1] = -2 // a second decode would overwrite it
+	for i := 2*packedBlockLen + 6; i < 3*packedBlockLen-1; i++ {
+		if !it.Next() || it.Freq() != ps[i].freq {
+			t.Fatalf("posting %d: freq %d, want %d", i, it.Freq(), ps[i].freq)
+		}
+	}
+	if !it.Next() || it.Freq() != -2 {
+		t.Fatal("the block's frequencies were decoded twice")
 	}
 }
 

@@ -46,11 +46,10 @@ func (p *PositionsIterator) Next() bool {
 		return false
 	}
 	p.cur = p.end
-	for i := int32(0); i < p.it.freq; i++ {
+	for i, f := int32(0), p.it.Freq(); i < f; i++ {
 		_, n := binary.Uvarint(p.stream[p.end:])
 		if n <= 0 {
-			p.it.count = 0
-			p.it.doc = exhaustedDoc
+			p.it.exhaust()
 			return false
 		}
 		p.end += n
@@ -72,7 +71,7 @@ func (p *PositionsIterator) SkipTo(target int32) bool {
 func (p *PositionsIterator) Doc() int32 { return p.it.doc }
 
 // Freq returns the current within-document frequency.
-func (p *PositionsIterator) Freq() int32 { return p.it.freq }
+func (p *PositionsIterator) Freq() int32 { return p.it.Freq() }
 
 // Exhausted reports whether the iterator has run out of postings.
 func (p *PositionsIterator) Exhausted() bool { return p.it.Exhausted() }

@@ -36,12 +36,11 @@ func (e *postingsEncoder) add(docID int32, freq int32) {
 type PostingsIterator struct {
 	pos        int
 	doc        int32
-	freq       int32
-	count      int32 // postings remaining
+	count      int32 // postings after the decoded block
 	initCount  int32 // total list length, for skip arithmetic
+	shallow    int32 // current block of the shallow (non-decoding) cursor
 	skips      []skipEntry
 	blockMaxes []float32 // per-block score bounds, aligned with skips
-	shallow    int       // current block of the shallow (non-decoding) cursor
 
 	// The list's bytes are read through a sliding window: win holds the
 	// bytes of one block, winBase is win[0]'s offset within the posting
@@ -54,11 +53,16 @@ type PostingsIterator struct {
 
 	// The current block decoded into inline scratch arrays. Inline (not
 	// pointers) so iterators stay allocation-free; bIdx/bLen delimit the
-	// undelivered postings.
-	bIdx   int32
-	bLen   int32
-	bDocs  [packedBlockLen]int32
-	bFreqs [packedBlockLen]int32
+	// undelivered postings, and the current posting is bIdx-1. While
+	// freqsPending is set, bFreqs is stale: the block's frequencies are
+	// freqRef plus the freqBits-wide values decodeFreqs unpacks.
+	bIdx         int32
+	bLen         int32
+	freqRef      int32
+	freqBits     uint8
+	freqsPending bool
+	bDocs        [packedBlockLen]int32
+	bFreqs       [packedBlockLen]int32
 }
 
 // newPostingsIterator returns an iterator over an encoded posting list
@@ -75,11 +79,12 @@ func newPostingsIterator(buf []byte, count int32) PostingsIterator {
 // so an iterator is rebuilt where it lies without writing or copying
 // them.
 func (it *PostingsIterator) reset(buf []byte, lazy *lazyList, count int32, skips []skipEntry, blockMaxes []float32) {
-	it.pos, it.doc, it.freq = 0, -1, 0
+	it.pos, it.doc = 0, -1
 	it.count, it.initCount = count, count
 	it.skips, it.blockMaxes, it.shallow = skips, blockMaxes, 0
 	it.win, it.winBase, it.lazy = buf, 0, lazy
 	it.bIdx, it.bLen = 0, 0
+	it.freqRef, it.freqBits, it.freqsPending = 0, 0, false
 }
 
 // window returns the byte window containing it.pos and the window's
@@ -105,16 +110,29 @@ func (it *PostingsIterator) window() ([]byte, int) {
 // exhausted. It refills the scratch block when drained, then serves
 // postings as plain array reads.
 func (it *PostingsIterator) Next() bool {
-	if it.count <= 0 || (it.bIdx >= it.bLen && !it.decodeBlock()) {
-		it.count = 0
-		it.doc = exhaustedDoc
+	if it.bIdx < it.bLen {
+		it.doc = it.bDocs[it.bIdx]
+		it.bIdx++
+		return true
+	}
+	return it.nextBlock()
+}
+
+// nextBlock is Next's slow path, kept out of line so Next inlines: it
+// decodes the next block and steps onto its first posting.
+func (it *PostingsIterator) nextBlock() bool {
+	if !it.decodeBlock() {
+		it.exhaust()
 		return false
 	}
-	it.doc = it.bDocs[it.bIdx]
-	it.freq = it.bFreqs[it.bIdx]
-	it.bIdx++
-	it.count--
+	it.doc = it.bDocs[0]
+	it.bIdx = 1
 	return true
+}
+
+// exhaust ends the list: Next and SkipTo return false from here on.
+func (it *PostingsIterator) exhaust() {
+	it.count, it.bIdx, it.doc = 0, it.bLen, exhaustedDoc
 }
 
 // Run returns the current posting and the postings after it in the
@@ -134,9 +152,11 @@ func (it *PostingsIterator) Run(upTo int32) (docs, freqs []int32) {
 			end++
 		}
 	}
-	it.count -= end - it.bIdx
+	if it.freqsPending {
+		it.decodeFreqs()
+	}
 	it.bIdx = end
-	it.doc, it.freq = it.bDocs[end-1], it.bFreqs[end-1]
+	it.doc = it.bDocs[end-1]
 	return it.bDocs[start:end], it.bFreqs[start:end]
 }
 
@@ -169,19 +189,16 @@ func (it *PostingsIterator) SkipTo(target int32) bool {
 				for docs[i] < target {
 					i++
 				}
-				it.doc, it.freq = docs[i], it.bFreqs[int(it.bIdx)+i]
+				it.doc = docs[i]
 				it.bIdx += int32(i) + 1
-				it.count -= int32(i) + 1
 				return true
 			}
-			it.count -= int32(len(docs))
 			it.doc = docs[len(docs)-1]
 			it.bIdx = it.bLen
 		}
 		it.seekSkip(target)
 		if !it.decodeBlock() {
-			it.count = 0
-			it.doc = exhaustedDoc
+			it.exhaust()
 			return false
 		}
 	}
@@ -190,8 +207,17 @@ func (it *PostingsIterator) SkipTo(target int32) bool {
 // Doc returns the current docID. Valid only after Next returned true.
 func (it *PostingsIterator) Doc() int32 { return it.doc }
 
-// Freq returns the current within-document term frequency.
-func (it *PostingsIterator) Freq() int32 { return it.freq }
+// Freq returns the current within-document term frequency, 0 before the
+// first posting. The first call on a full block decodes its frequencies.
+func (it *PostingsIterator) Freq() int32 {
+	if it.bIdx == 0 {
+		return 0
+	}
+	if it.freqsPending {
+		it.decodeFreqs()
+	}
+	return it.bFreqs[it.bIdx-1]
+}
 
 // Exhausted reports whether the iterator has run out of postings.
 func (it *PostingsIterator) Exhausted() bool { return it.doc == exhaustedDoc }

@@ -136,7 +136,7 @@ func (it *PostingsIterator) NextShallow(target int32) bool {
 	}
 	// Block j ends at skips[j].doc; the final block runs to the end of
 	// the list (its boundary is unbounded, so the cursor stops there).
-	for it.shallow < len(it.skips) && it.skips[it.shallow].doc < target {
+	for int(it.shallow) < len(it.skips) && it.skips[it.shallow].doc < target {
 		it.shallow++
 	}
 	return true
@@ -147,7 +147,7 @@ func (it *PostingsIterator) NextShallow(target int32) bool {
 // With no block metadata (an iterator without skips) it returns +Inf, so
 // it never prunes incorrectly.
 func (it *PostingsIterator) BlockMax() float64 {
-	if it.shallow < len(it.blockMaxes) {
+	if int(it.shallow) < len(it.blockMaxes) {
 		return float64(it.blockMaxes[it.shallow])
 	}
 	return math.Inf(1)
@@ -158,7 +158,7 @@ func (it *PostingsIterator) BlockMax() float64 {
 // the list's final block, which runs to the end. NextShallow(BlockLast()+1)
 // moves the cursor to the following block.
 func (it *PostingsIterator) BlockLast() int32 {
-	if it.shallow < len(it.skips) {
+	if int(it.shallow) < len(it.skips) {
 		return it.skips[it.shallow].doc
 	}
 	return exhaustedDoc

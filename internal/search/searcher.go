@@ -289,45 +289,46 @@ func (s *Searcher) alive(doc int32) bool {
 	return s.opts.Deleted == nil || !s.opts.Deleted(doc)
 }
 
-// searchOr is the exhaustive document-at-a-time disjunction. It never
-// prunes, but it still publishes its heap floor through pc so pruning
-// searchers over other partitions of the same query can tighten.
+// searchOr is the exhaustive disjunction, evaluated a window of doc IDs
+// at a time like searchPruned with every list essential: each list's
+// postings in the window are scored straight from its decoded blocks,
+// the lists in query-term order, and the window's docs are then offered
+// in ascending order. It never prunes, but it still publishes its heap
+// floor through pc so pruning searchers over other partitions of the
+// same query can tighten.
 func (s *Searcher) searchOr(scorers []termScorer, heap *TopK, res *Result, pc pruneCtx) {
-	avg := s.avgDocLen()
 	bm := s.seg.BM25()
-	// Prime all iterators.
-	live := 0
+	w := windowPool.Get().(*window)
+	defer windowPool.Put(w)
 	for i := range scorers {
 		if scorers[i].it.Next() {
 			res.PostingsScanned++
-			live++
 		}
 	}
-	for live > 0 {
-		// Find the smallest current docID.
-		min := scorers[0].it.Doc()
-		for i := 1; i < len(scorers); i++ {
-			if d := scorers[i].it.Doc(); d < min {
-				min = d
-			}
-		}
-		dl := s.seg.DocLen(min)
-		score := 0.0
+	for {
+		lo := exhaustedSentinel
 		for i := range scorers {
-			it := scorers[i].it
-			if it.Doc() != min {
-				continue
-			}
-			score += bm.Score(scorers[i].idf, it.Freq(), dl, avg)
-			if it.Next() {
-				res.PostingsScanned++
-			} else {
-				live--
-			}
+			lo = min(lo, scorers[i].it.Doc())
 		}
-		if s.alive(min) {
-			res.Matches++
-			pc.offer(heap, Hit{Doc: min, Score: score})
+		if lo == exhaustedSentinel {
+			return
+		}
+		hi := lo + windowLen
+		for i := range scorers {
+			w.accumulate(scorers[i].it, scorers[i].idf, lo, hi, false, bm, s.norms, res)
+		}
+		for wi := range w.hits {
+			for set := w.hits[wi]; set != 0; set &= set - 1 {
+				o := wi<<6 | bits.TrailingZeros64(set)
+				doc := lo + int32(o)
+				score := w.scores[o]
+				w.scores[o] = 0
+				if s.alive(doc) {
+					res.Matches++
+					pc.offer(heap, Hit{Doc: doc, Score: score})
+				}
+			}
+			w.hits[wi] = 0
 		}
 	}
 }
@@ -404,6 +405,30 @@ type window struct {
 // windowPool keeps the accumulator on the allocation-free hot path.
 var windowPool = sync.Pool{New: func() any { return new(window) }}
 
+// accumulate adds the score of each posting of it below hi to the
+// window starting at lo, reading them a decoded block at a time
+// (PostingsIterator.Run) with one division per posting, and leaves it on
+// its first doc at or above hi. With blockEnd set it stops instead at the
+// end of the block it is in: it stays on the last doc scored, so a block
+// the caller jumps next is never decoded.
+func (w *window) accumulate(it *index.PostingsIterator, idf float64, lo, hi int32, blockEnd bool, bm index.BM25Params, norms []float64, res *Result) {
+	for it.Doc() < hi {
+		docs, freqs := it.Run(hi)
+		for j, d := range docs {
+			o := uint32(d-lo) & (windowLen - 1)
+			w.scores[o] += bm.ScoreNorm(idf, freqs[j], norms[d])
+			w.hits[o>>6] |= 1 << (o & 63)
+		}
+		res.PostingsScanned += int64(len(docs) - 1)
+		if blockEnd && it.Doc() == it.BlockLast() {
+			return
+		}
+		if it.Next() {
+			res.PostingsScanned++
+		}
+	}
+}
+
 // searchPruned is MaxScore pruning (Turtle & Flood) evaluated a window of
 // doc IDs at a time, the shape of Lucene's MaxScoreBulkScorer. Scorers are
 // ordered by ascending upper bound; a prefix of "non-essential" lists
@@ -468,25 +493,7 @@ func (s *Searcher) searchPruned(scorers []termScorer, heap *TopK, res *Result, p
 			}
 		}
 		for i := range essential {
-			it, idf := essential[i].it, essential[i].idf
-			for it.Doc() < hi {
-				docs, freqs := it.Run(hi)
-				for j, d := range docs {
-					o := uint32(d-lo) & (windowLen - 1)
-					w.scores[o] += bm.ScoreNorm(idf, freqs[j], norms[d])
-					w.hits[o>>6] |= 1 << (o & 63)
-				}
-				res.PostingsScanned += int64(len(docs) - 1)
-				if single && it.Doc() == it.BlockLast() {
-					// The run drained the block. The list stays on the
-					// last doc scored, so a block the next skipBlocks
-					// jumps is never decoded.
-					break
-				}
-				if it.Next() {
-					res.PostingsScanned++
-				}
-			}
+			w.accumulate(essential[i].it, essential[i].idf, lo, hi, single, bm, norms, res)
 		}
 		scored = hi
 		for wi := range w.hits {

@@ -212,6 +212,93 @@ func TestMaxScoreEquivalence(t *testing.T) {
 	}
 }
 
+// orReference is exhaustive OR evaluated document at a time: every list
+// is advanced one posting at a time from the lowest current doc, and
+// each doc is scored with BM25Params.Score, the lists in query-term
+// order.
+func orReference(s *Searcher, q Query, k int, deleted func(int32) bool) Result {
+	seg := s.Segment()
+	bm := seg.BM25()
+	var its []index.PostingsIterator
+	var idfs []float64
+	for _, term := range q.Terms {
+		if ti, ok := seg.Term(term); ok {
+			its = append(its, seg.PostingsByID(ti.ID))
+			idfs = append(idfs, index.IDF(int64(seg.NumDocs()), int64(ti.DocFreq)))
+		}
+	}
+	var res Result
+	heap := GetTopK(k)
+	defer PutTopK(heap)
+	for i := range its {
+		if its[i].Next() {
+			res.PostingsScanned++
+		}
+	}
+	for {
+		doc := exhaustedSentinel
+		for i := range its {
+			doc = min(doc, its[i].Doc())
+		}
+		if doc == exhaustedSentinel {
+			break
+		}
+		score := 0.0
+		for i := range its {
+			if its[i].Doc() == doc {
+				score += bm.Score(idfs[i], its[i].Freq(), seg.DocLen(doc), seg.AvgDocLen())
+				if its[i].Next() {
+					res.PostingsScanned++
+				}
+			}
+		}
+		if deleted == nil || !deleted(doc) {
+			res.Matches++
+			heap.Offer(Hit{Doc: doc, Score: score})
+		}
+	}
+	res.Hits = heap.AppendSorted(nil)
+	return res
+}
+
+// TestSearchOrMatchesDocumentAtATime: the windowed exhaustive OR returns
+// exactly what document-at-a-time evaluation does, bit for bit: hits,
+// scores, Matches and PostingsScanned, with and without a Deleted filter.
+func TestSearchOrMatchesDocumentAtATime(t *testing.T) {
+	ex, _, vocab := corpusSearchers(t, 3000)
+	deleted := func(d int32) bool { return d%7 == 3 }
+	exDel := NewSearcher(ex.Segment(), Options{TopK: 10, UseMaxScore: false, Deleted: deleted})
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		terms := make([]string, 1+rng.Intn(5))
+		for i := range terms {
+			if rng.Intn(2) == 0 {
+				terms[i] = vocab.Word(rng.Intn(50))
+			} else {
+				terms[i] = vocab.Word(rng.Intn(vocab.Size()))
+			}
+		}
+		raw := strings.Join(terms, " ")
+		s, del := ex, func(int32) bool { return false }
+		if trial%2 == 1 {
+			s, del = exDel, deleted
+		}
+		q := ParseQuery(s.Options().Analyzer, raw, ModeOr)
+		got, want := s.Search(q), orReference(s, q, 10, del)
+		if got.Matches != want.Matches || got.PostingsScanned != want.PostingsScanned {
+			t.Fatalf("query %q: matches %d, postings %d; want %d, %d", raw, got.Matches, got.PostingsScanned, want.Matches, want.PostingsScanned)
+		}
+		if len(got.Hits) != len(want.Hits) {
+			t.Fatalf("query %q: %d hits, want %d", raw, len(got.Hits), len(want.Hits))
+		}
+		for i := range got.Hits {
+			if got.Hits[i] != want.Hits[i] {
+				t.Fatalf("query %q: hit %d = %+v, want %+v", raw, i, got.Hits[i], want.Hits[i])
+			}
+		}
+	}
+}
+
 // MaxScore must do no more scoring work than exhaustive evaluation.
 func TestMaxScorePrunes(t *testing.T) {
 	ex, ms, vocab := corpusSearchers(t, 800)
