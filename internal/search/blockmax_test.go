@@ -243,7 +243,10 @@ func TestSearchIntoAllocationFree(t *testing.T) {
 	}
 	seg, vocab := blockMaxCorpus(t, 2000)
 	a := textproc.NewAnalyzer()
+	// and's lists are dense enough for the window kernel; rareAnd's
+	// first is not, so it runs on the leapfrog.
 	and := ParseQuery(a, vocab.Word(5)+" "+vocab.Word(30), ModeAnd)
+	rareAnd := ParseQuery(a, vocab.Word(300)+" "+vocab.Word(5), ModeAnd)
 	or := ParseQuery(a, vocab.Word(0)+" "+vocab.Word(3)+" "+vocab.Word(40), ModeOr)
 	for _, c := range []struct {
 		name string
@@ -253,6 +256,7 @@ func TestSearchIntoAllocationFree(t *testing.T) {
 	}{
 		{"and", Options{TopK: 10}, and, 10},
 		{"and-one-hit", Options{TopK: 1}, and, 1},
+		{"and-rare-lead", Options{TopK: 10}, rareAnd, 10},
 		{"blockmax-or", Options{TopK: 10, UseMaxScore: true}, or, 10},
 		{"maxscore-or", Options{TopK: 10, UseMaxScore: true, DisableBlockMax: true}, or, 10},
 		{"exhaustive-or", Options{TopK: 10}, or, 10},
@@ -293,15 +297,10 @@ func (m *memBlocks) ReadRuns(runs []index.BlockRun) {
 	}
 }
 
-// TestLazySearchIntoAllocations: once every block a query needs is
-// resident, evaluating it on a lazy segment allocates at most twice —
-// its fetch state is recycled, not rebuilt per query — whichever
-// strategy runs it.
-func TestLazySearchIntoAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items")
-	}
-	seg, vocab := blockMaxCorpus(t, 2000)
+// lazySegment serializes seg and opens it lazily over a memBlocks
+// reader.
+func lazySegment(t testing.TB, seg *index.Segment) *index.Segment {
+	t.Helper()
 	var buf bytes.Buffer
 	if _, err := seg.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -316,6 +315,19 @@ func TestLazySearchIntoAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return lazy
+}
+
+// TestLazySearchIntoAllocations: once every block a query needs is
+// resident, evaluating it on a lazy segment allocates at most twice —
+// its fetch state is recycled, not rebuilt per query — whichever
+// strategy runs it.
+func TestLazySearchIntoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items")
+	}
+	seg, vocab := blockMaxCorpus(t, 2000)
+	lazy := lazySegment(t, seg)
 	a := textproc.NewAnalyzer()
 	and := ParseQuery(a, vocab.Word(5)+" "+vocab.Word(30)+" "+vocab.Word(60), ModeAnd)
 	or := ParseQuery(a, vocab.Word(0)+" "+vocab.Word(3)+" "+vocab.Word(40)+" "+vocab.Word(90), ModeOr)

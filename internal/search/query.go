@@ -120,8 +120,11 @@ type Result struct {
 	// it is a lower bound on the true match count, because documents that
 	// provably cannot enter the top-k are skipped without being counted.
 	Matches int
-	// PostingsScanned counts postings decoded while evaluating, the
-	// work metric the service-time anatomy experiment correlates with
+	// PostingsScanned counts the postings evaluation reads: each one an
+	// iterator steps onto, and every posting a windowed evaluator reads
+	// inside a window — for a conjunction on the window kernel, every
+	// posting of every list in an aligned window, matched or not. It is
+	// the work metric the service-time anatomy experiment correlates with
 	// latency.
 	PostingsScanned int64
 	Phases          PhaseTimings

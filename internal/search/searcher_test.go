@@ -412,13 +412,22 @@ func BenchmarkSearchMaxScore(b *testing.B) {
 	}
 }
 
+// BenchmarkSearchAnd cycles through 2000 top-10 conjunctions of each
+// pool shape (andPools) on a 10k-doc segment of the benchmark corpus,
+// the size of one of engine-and's partitions.
 func BenchmarkSearchAnd(b *testing.B) {
-	ex, _, vocab := corpusSearchers(b, 2000)
-	q := ParseQuery(ex.Options().Analyzer, vocab.Word(5)+" "+vocab.Word(30), ModeAnd)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ex.Search(q)
+	seg, vocab := benchShapedCorpus(b, 10000)
+	s := NewSearcher(seg, DefaultOptions())
+	for pi, p := range andPools {
+		qs := p.queries(vocab, 2000, int64(pi))
+		b.Run(p.name, func(b *testing.B) {
+			var res Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.SearchInto(qs[i%len(qs)], &res)
+			}
+		})
 	}
 }
 
